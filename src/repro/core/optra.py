@@ -350,6 +350,11 @@ class _Search:
         )
 
         self._zeros = np.zeros(self.shape, dtype=bool)
+        self.classifier = (
+            self.ctx.pattern_classifier(self.kernel, self.dfg)
+            if self.ctx is not None
+            else None
+        )
         self._sched_memo: "dict[tuple, tuple[int, int]]" = {}
         self._leaf_memo: "dict[tuple[int, ...], int]" = {}
 
@@ -475,7 +480,7 @@ class _Search:
             )
             read_miss = self._zeros if relax else result.read_miss
             write_miss = self._zeros if relax else result.write_miss
-            if read_miss.any() or has_active_read(group):
+            if (not relax and result.ram_reads) or has_active_read(group):
                 channels.append((name, "read", read_miss))
             if group.writes:
                 channels.append((name, "write", write_miss))
@@ -483,6 +488,7 @@ class _Search:
         in_loop, _, _ = classify_patterns(
             self.shape, channels, self.dfg, self.overhead, self._schedule,
             label=f"kernel {self.kernel.name} (opt-ra bound)",
+            classifier=self.classifier,
         )
         return in_loop + writebacks * self.model.ram_latency
 

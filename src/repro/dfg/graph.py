@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.dfg.nodes import DFGNode, OpNode, ReadNode, WriteNode
 from repro.errors import AnalysisError
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 __all__ = ["DataFlowGraph"]
 
@@ -89,7 +90,11 @@ class DataFlowGraph:
             raise AnalysisError("DFG contains a cycle")
         return order
 
-    def to_networkx(self) -> nx.DiGraph:
+    def to_networkx(self) -> "nx.DiGraph":
+        # Imported here: only this export needs networkx, and importing
+        # it at module load would slow every start-up of the package.
+        import networkx as nx
+
         graph = nx.DiGraph()
         for node in self.nodes:
             graph.add_node(node.uid, node=node)

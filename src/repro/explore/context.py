@@ -28,6 +28,11 @@ coverage computers            ``(kernel bundle, batch, trace engine,
                               ``(registers, anchor)``
 pattern makespans             ``(dfg, latency-model fingerprint,
                               ram_ports, frozen hit/miss pattern)``
+pattern classifier            the kernel bundle (its DFG and iteration
+                              space) — one
+                              :class:`~repro.sim.patterns.PatternClassifier`
+                              whose atom partition every cycle count of
+                              the kernel classifies over
 critical graphs (CPA-RA)      ``(dfg, latency-model fingerprint,
                               frozen per-group hit map)``
 knapsack DP tables (KS-RA)    ``(kernel bundle, item signature)`` —
@@ -71,6 +76,7 @@ from repro.dfg.critical import CriticalGraph, critical_graph
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
 from repro.scalar.coverage import GroupCoverage
+from repro.sim.patterns import PatternClassifier
 from repro.sim.scheduler import schedule_iteration
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -156,6 +162,8 @@ class _KernelArtifacts:
     coverages: "dict[tuple, dict[str, GroupCoverage]]" = field(
         default_factory=dict
     )
+    #: iteration-atom partition shared by every pattern classification
+    classifier: "PatternClassifier | None" = None
     #: (model fp, ram_ports, frozen hit pattern) -> (makespan, memory_cycles)
     schedules: "dict[tuple, tuple[int, int]]" = field(default_factory=dict)
     #: (model fp, frozen per-group hits) -> CriticalGraph
@@ -389,6 +397,27 @@ class EvalContext:
         memo = (schedule.makespan, schedule.memory_cycles)
         bundle.schedules[key] = memo
         return memo
+
+    def pattern_classifier(
+        self, kernel: "Kernel", dfg: DataFlowGraph
+    ) -> "PatternClassifier | None":
+        """The kernel bundle's pattern classifier (built on first use).
+
+        Like :meth:`schedule`, only the bundle's own memoized DFG gets
+        one; a foreign kernel or DFG returns ``None`` and its counts
+        classify the full grid.  The classifier is exact for any mask,
+        so sharing it never changes a result.
+        """
+        bundle = self._by_object.get(id(kernel))
+        if bundle is None or bundle.kernel is not kernel or (
+            bundle.dfg is not dfg
+        ):
+            return None
+        if bundle.classifier is None:
+            bundle.classifier = PatternClassifier(
+                kernel.nest.trip_counts(), dfg
+            )
+        return bundle.classifier
 
     # -- critical graphs (CPA-RA) ---------------------------------------------
 

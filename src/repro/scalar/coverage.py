@@ -35,7 +35,7 @@ Coverage semantics (paper-faithful; see DESIGN.md section 5):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,14 +113,28 @@ class CoverageResult:
     window_inserted: "np.ndarray | None" = None
     window_evicted: "np.ndarray | None" = None
     window_freed: "np.ndarray | None" = None
+    _ram_reads: int = field(init=False, repr=False, compare=False)
+    _ram_writes: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # Every cycle count reads the totals; the masks never change
+        # after construction, so they are summed once here.
+        object.__setattr__(
+            self, "_ram_reads", int(np.count_nonzero(self.read_miss))
+        )
+        object.__setattr__(
+            self,
+            "_ram_writes",
+            int(np.count_nonzero(self.write_miss)) + self.writeback_stores,
+        )
 
     @property
     def ram_reads(self) -> int:
-        return int(self.read_miss.sum())
+        return self._ram_reads
 
     @property
     def ram_writes(self) -> int:
-        return int(self.write_miss.sum()) + self.writeback_stores
+        return self._ram_writes
 
     @property
     def total_ram_accesses(self) -> int:

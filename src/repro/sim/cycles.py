@@ -7,9 +7,12 @@ e.g. with ``d`` covered for ``k < 12``, iterations split into the
 ``k < 12`` and ``k >= 12`` classes of the paper's Figure 2(c) arithmetic.
 
 Iterations with identical patterns cost the same, so the counter
-classifies the whole iteration space into patterns (vectorized), schedules
-each distinct pattern once, and takes a weighted sum — exact, and fast
-even for the million-iteration kernels.
+classifies the whole iteration space into patterns, schedules each
+distinct pattern once, and takes a weighted sum — exact, and fast even
+for the million-iteration kernels.  With an evaluation context the
+classification runs over the kernel's shared iteration-atom partition
+(:mod:`repro.sim.patterns`); without one it runs over the full grid,
+the reference both are tested against.
 
 Total cycles also include:
 
@@ -22,6 +25,7 @@ Total cycles also include:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -31,10 +35,10 @@ from repro.core.allocation import Allocation
 from repro.dfg.build import build_dfg
 from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
-from repro.dfg.nodes import ReadNode, WriteNode
 from repro.errors import SimulationError
 from repro.ir.kernel import Kernel
 from repro.scalar.coverage import GroupCoverage
+from repro.sim.patterns import PatternClassifier, node_channels, pattern_maps
 from repro.sim.scheduler import schedule_iteration
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -159,7 +163,6 @@ def count_cycles(
         if memoized is not None:
             return memoized
     shape = kernel.nest.trip_counts()
-    space = int(np.prod(shape))
 
     # One bool "channel" per (group, access kind) that can miss.
     channels: list[tuple[str, str, np.ndarray]] = []  # (group, kind, miss grid)
@@ -178,14 +181,15 @@ def count_cycles(
         )
         ram_accesses[group.name] = result.total_ram_accesses
         writebacks += result.writeback_stores
-        if result.read_miss.any():
-            channels.append((group.name, "read", result.read_miss))
-        elif has_active_read(group):
+        if result.ram_reads or has_active_read(group):
             channels.append((group.name, "read", result.read_miss))
         if group.writes:
             channels.append((group.name, "write", result.write_miss))
 
+    classifier = None
     if context is not None:
+        classifier = context.pattern_classifier(kernel, dfg)
+
         def scheduler(hit: "dict[str, bool]") -> "tuple[int, int]":
             return context.schedule(kernel, dfg, model, hit, ram_ports)
     else:
@@ -195,7 +199,7 @@ def count_cycles(
 
     in_loop, memory_cycles, pattern_rows = classify_patterns(
         shape, channels, dfg, overhead_per_iteration, scheduler,
-        label=f"kernel {kernel.name}",
+        label=f"kernel {kernel.name}", classifier=classifier,
     )
 
     epilogue = writebacks * model.ram_latency
@@ -221,6 +225,7 @@ def classify_patterns(
     overhead_per_iteration: int,
     scheduler: "Callable[[dict[str, bool]], tuple[int, int]]",
     label: str = "kernel",
+    classifier: "PatternClassifier | None" = None,
 ) -> "tuple[int, int, list[tuple[tuple[str, ...], int, int]]]":
     """The pattern-classification core shared by every cycle counter.
 
@@ -234,50 +239,53 @@ def classify_patterns(
     memory_cycles, pattern_rows)`` exactly as :func:`count_cycles`
     reports them; OPT-RA's admissible relaxation bounds reuse this so
     the bound arithmetic cannot drift from the real counter's.
+
+    With a ``classifier`` (the kernel bundle's
+    :class:`~repro.sim.patterns.PatternClassifier`, handed out by
+    :meth:`~repro.explore.context.EvalContext.pattern_classifier`) the
+    histogram is built over the shared iteration-atom partition,
+    weighted by atom size.  Without one, every iteration of the full
+    grid is classified: that path is the reference oracle, reached when
+    no evaluation context exists, and the differential tests pin the
+    two to identical results.
     """
     if len(channels) > 20:
         raise SimulationError(
             f"{label}: {len(channels)} access channels exceed "
             f"the pattern classifier's limit"
         )
-    space = int(np.prod(shape))
-    pattern = np.zeros(shape, dtype=np.int64)
-    for bit, (_, _, miss) in enumerate(channels):
-        pattern |= miss.astype(np.int64) << bit
-    counts = np.bincount(pattern.reshape(-1), minlength=1)
-
-    node_channel: dict[str, int] = {}
-    for node in dfg.nodes:
-        if isinstance(node, ReadNode):
-            kind = "read"
-        elif isinstance(node, WriteNode):
-            kind = "write"
-        else:
-            continue
-        for bit, (group_name, ch_kind, _) in enumerate(channels):
-            if ch_kind == kind and group_name == node.group_name:
-                node_channel[node.uid] = bit
-                break
+    space = prod(shape)
+    signature = tuple((group, kind) for group, kind, _ in channels)
+    if classifier is not None:
+        if classifier.dfg is not dfg or classifier.shape != tuple(shape):
+            raise SimulationError(
+                f"{label}: pattern classifier belongs to another kernel"
+            )
+        histogram = classifier.histogram([miss for _, _, miss in channels])
+        patterns = [
+            (count, *classifier.pattern_maps(signature, value))
+            for value, count in histogram
+        ]
+    else:
+        pattern = np.zeros(shape, dtype=np.int64)
+        for bit, (_, _, miss) in enumerate(channels):
+            pattern |= miss.astype(np.int64) << bit
+        counts = np.bincount(pattern.reshape(-1), minlength=1)
+        pairs = node_channels(dfg, signature)
+        patterns = [
+            (count, *pattern_maps(signature, pairs, value))
+            for value, count in enumerate(counts.tolist())
+            if count
+        ]
 
     in_loop = 0
     memory_cycles = 0
     pattern_rows: list[tuple[tuple[str, ...], int, int]] = []
-    for value, count in enumerate(counts.tolist()):
-        if count == 0:
-            continue
-        hit = {
-            uid: not bool((value >> bit) & 1)
-            for uid, bit in node_channel.items()
-        }
+    for count, hit, misses in patterns:
         makespan, pattern_memory = scheduler(hit)
         cost = makespan + overhead_per_iteration
         in_loop += cost * count
         memory_cycles += pattern_memory * count
-        misses = tuple(
-            f"{channels[bit][0]}:{channels[bit][1]}"
-            for bit in range(len(channels))
-            if (value >> bit) & 1
-        )
         pattern_rows.append((misses, count, cost))
 
     if sum(count for _, count, _ in pattern_rows) != space:
