@@ -3,54 +3,54 @@
 Times the regimes that matter for sweep throughput and writes the
 machine-readable ``BENCH_<n>.json`` the repo's perf trajectory tracks:
 
-* **single point** — one representative :class:`DesignQuery`, evaluated
-  repeatedly with artifact memoization disabled and with a warm
-  :class:`~repro.explore.context.EvalContext` (the floor and ceiling of
-  per-point cost);
 * **grid** — a Table-1-shaped kernels x allocators x budgets sweep at
-  ``jobs=1``, run without a context (the seed evaluator's behaviour),
-  with a *cold* context (first sweep of a fresh process) and again with
-  the now-*warm* context (resumed / repeated sweeps);
-* **trace engine** — the *cold* cost of one point of every
-  window-heavy kernel under the array trace engine vs the reference
-  residency simulators (``--no-array-trace``), context off, so the
-  number isolates the per-kernel analysis bill the array engine
-  attacks;
+  ``jobs=1`` with a *cold* :class:`~repro.explore.context.EvalContext`
+  (first sweep of a fresh process) and again with the now-*warm* one
+  (resumed / repeated sweeps); ``--min-speedup`` gates warm vs cold;
+* **single point** — one representative :class:`DesignQuery`, each
+  repeat on a fresh context (cold) and on a primed one (warm);
+* **trace engine** — the *cold* coverage work of one CPA-RA point of
+  every window-heavy kernel, timed below the query layer: fresh
+  :class:`~repro.scalar.coverage.GroupCoverage` computers on the array
+  trace engine vs the reference residency simulators
+  (``--min-trace-speedup``);
 * **budget column** — the *cold* cost of one full budget column (one
   window kernel, every grid budget) per budget vs in one ladder pass,
-  at three levels: LRU miss counts (one stack-distance histogram
-  answers the whole axis), the window coverage trace (one shared
-  capacity-independent plane), and the end-to-end CPA-RA design
-  column under a fresh context (``--no-budget-ladder`` off vs on);
-* **supervision overhead** — the warm-context grid again, driven by the
-  supervised execution plane (deadlines/retries/quarantine bookkeeping,
-  the default) vs ``--no-supervise``; the happy-path overhead must stay
-  in the noise (<3% locally, gated loosely in CI);
+  at two levels: LRU miss counts (one stack-distance histogram answers
+  the whole axis) and the window coverage trace (one shared
+  capacity-independent plane);
+* **supervision overhead** — the warm grid's ``Executor.run`` wall time
+  minus the evaluation seconds its records carry: what the supervised
+  drive loop, cost model and result assembly add on top of evaluation
+  (``--max-supervision-overhead``);
 * **imbalance** — a deliberately heterogeneous grid (cheap points, an
   OPT-RA column, and injected ``slow`` faults pinned on one kernel) at
-  ``jobs=4``, dispatched statically (``stealing=False``, the old
-  plan-then-submit LPT chunks) vs through the work-stealing lease
-  queue; the static packer cannot know about the hidden latency, so it
-  serializes the slow kernel's chunk on one worker while stealing
-  spreads the same points across all four — the headline of the
-  dynamic dispatcher (gated by ``--min-steal-speedup``);
-* **equivalence** — the no-context and context grids are compared
-  record for record, and so are the static and stealing imbalance
-  sweeps; a benchmark that got fast by changing answers fails loudly
-  (``identical`` must be true).
+  ``jobs=4`` through the work-stealing lease queue.  The cost model
+  cannot see the hidden latency; a dispatcher that committed the slow
+  kernel to one worker would serialize ``slow_points x slow_seconds``
+  behind it, while the lease queue spreads those points across all four
+  workers.  ``--min-steal-speedup`` gates that serialized latency over
+  the measured wall time (``jobs / 2`` = wall within twice the ideal);
+* **equivalence** — the grid's records are audited point by point
+  against the reference oracle
+  (:func:`~repro.explore.batch.verify_reference`), and the imbalance
+  sweep's records against inline evaluation; a benchmark that got fast
+  by changing answers fails loudly (``identical`` must be true).
 
-Run it via ``repro perf`` (``--quick`` for the CI smoke grid,
-``--min-speedup X`` / ``--min-trace-speedup X`` /
-``--min-steal-speedup X`` to fail below speedup floors).  ``repro perf --compare OLD.json NEW.json`` diffs two emitted
-reports metric by metric — host-independent speedup *ratios* gate the
-comparison (non-zero exit on a regression beyond ``--threshold``),
-absolute seconds print as context.  See ``docs/perf.md``.
+Run it via ``repro perf`` (``--quick`` for the CI smoke grid, the
+``--min-*`` / ``--max-*`` flags to fail outside the floors).
+``repro perf --compare OLD.json NEW.json`` diffs two emitted reports
+metric by metric: absolute seconds gate only between reports of the
+same grid on the same host, speedup *ratios* otherwise (non-zero exit
+on a regression beyond ``--threshold``, or when no metric gates at
+all).  See ``docs/perf.md``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 import time
 import warnings
@@ -59,6 +59,7 @@ import numpy as np
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.explore.batch import verify_reference
 from repro.explore.context import EvalContext
 from repro.explore.executor import Executor
 from repro.explore.evaluate import evaluate_query
@@ -78,12 +79,11 @@ __all__ = [
     "render_compare",
 ]
 
-#: Sequence number of this harness's output file (``BENCH_10.json``).
-BENCH_NUMBER = 10
+#: Sequence number of this harness's output file (``BENCH_14.json``).
+BENCH_NUMBER = 14
 
 #: The Table-1-shaped reference grid: 4 kernels x 5 allocators x 16
-#: budgets = 320 points, matching the acceptance target of the
-#: shared-artifact plane (>= 3x at jobs=1 vs --no-context).
+#: budgets = 320 points.
 GRID_KERNELS = ("fir", "mat", "pat", "bic")
 GRID_ALLOCATORS = ("NO-SR", "FR-RA", "PR-RA", "CPA-RA", "KS-RA")
 GRID_BUDGETS = tuple(range(4, 36, 2))
@@ -102,16 +102,11 @@ SINGLE_POINT = DesignQuery(kernel="pat", allocator="CPA-RA", budget=16)
 TRACE_KERNELS = ("fir", "pat", "decfir")
 QUICK_TRACE_KERNELS = ("fir", "pat")
 
-#: The imbalance comparison: a heterogeneous mix of cheap allocator
-#: columns, an expensive OPT-RA column, and injected ``slow`` faults
-#: pinned on the kernel with the *smallest* static prior — the one
-#: kernel the kernel-major LPT packer is guaranteed to keep whole in a
-#: single chunk, so static dispatch serializes its hidden latency on
-#: one worker while the lease queue spreads it across all four.
+#: The imbalance grid: a heterogeneous mix of cheap allocator columns,
+#: an expensive OPT-RA column, and injected ``slow`` faults pinned on
+#: the kernel with the *smallest* static prior — the kernel a
+#: cost-balancing packer would keep whole on one worker.
 IMBALANCE_KERNELS = ("fir", "mat", "pat", "bic")
-#: Quick mode drops the kernels the packer would pre-split anyway; the
-#: min-prior kernel must stay whole for the comparison to mean what it
-#: says.
 QUICK_IMBALANCE_KERNELS = ("bic", "pat")
 IMBALANCE_ALLOCATORS = ("NO-SR", "FR-RA")
 IMBALANCE_BUDGETS = (8, 16, 24, 32)
@@ -146,50 +141,44 @@ class PerfReport:
 
     quick: bool
     points: int
-    grid_no_context: float
     grid_cold_context: float
     grid_warm_context: float
-    single_no_context: float
+    single_cold_context: float
     single_warm_context: float
     single_repeats: int
     identical: bool
-    #: Warm-context grid seconds under the supervised drive loop vs
-    #: ``supervise=False`` (0.0 = unmeasured, e.g. an old report).
-    grid_warm_supervised: float = 0.0
-    grid_warm_unsupervised: float = 0.0
+    #: Best warm-grid ``Executor.run`` wall seconds and the evaluation
+    #: seconds its records carry (0.0 = unmeasured).
+    grid_warm_run: float = 0.0
+    grid_warm_evaluation: float = 0.0
     context_stats: dict[str, int] = field(default_factory=dict)
-    #: kernel -> {"reference": seconds, "array": seconds}: cold
-    #: single-point evaluation under each trace engine, context off.
+    #: kernel -> {"reference": seconds, "array": seconds}: the cold
+    #: coverage work of one point under each trace engine.
     trace_single: "dict[str, dict[str, float]]" = field(default_factory=dict)
     #: kernel -> {"counts_per_budget": s, "counts_ladder": s,
-    #: "trace_per_budget": s, "trace_ladder": s, "evaluate_per_budget":
-    #: s, "evaluate_ladder": s}: the full budget column per budget vs in
-    #: one ladder pass (see :func:`_time_budget_column`).
+    #: "trace_per_budget": s, "trace_ladder": s}: the full budget column
+    #: per budget vs in one ladder pass (see :func:`_time_budget_column`).
     budget_column: "dict[str, dict[str, float]]" = field(default_factory=dict)
-    #: The heterogeneous-grid dispatch comparison (empty = unmeasured):
-    #: ``static_s`` / ``steal_s`` wall seconds plus the grid shape, the
-    #: slow-kernel pin, and the stealing run's scheduler counters (see
-    #: :func:`_time_imbalance`).
+    #: The heterogeneous-grid dispatch measurement (empty = unmeasured):
+    #: ``steal_s`` wall seconds plus the grid shape, the slow-kernel pin,
+    #: and the scheduler counters (see :func:`_time_imbalance`).
     imbalance: "dict[str, object]" = field(default_factory=dict)
 
     @property
-    def speedup_cold(self) -> float:
-        return self.grid_no_context / self.grid_cold_context
-
-    @property
     def speedup_warm(self) -> float:
-        return self.grid_no_context / self.grid_warm_context
+        return self.grid_cold_context / self.grid_warm_context
 
     @property
     def speedup_single(self) -> float:
-        return self.single_no_context / self.single_warm_context
+        return self.single_cold_context / self.single_warm_context
 
     @property
     def supervision_overhead(self) -> float:
-        """Fractional warm-grid slowdown of supervision (0 = unmeasured)."""
-        if not self.grid_warm_supervised or not self.grid_warm_unsupervised:
+        """Warm-grid run seconds beyond evaluation, per evaluation second
+        (0 = unmeasured)."""
+        if not self.grid_warm_run or not self.grid_warm_evaluation:
             return 0.0
-        return self.grid_warm_supervised / self.grid_warm_unsupervised - 1.0
+        return self.grid_warm_run / self.grid_warm_evaluation - 1.0
 
     def trace_speedup(self, kernel: str) -> float:
         timings = self.trace_single[kernel]
@@ -204,15 +193,21 @@ class PerfReport:
 
     @property
     def steal_speedup(self) -> float:
-        """Static / stealing wall time on the imbalance grid (0 unmeasured)."""
-        static_s = float(self.imbalance.get("static_s") or 0.0)
+        """Serialized slow latency / imbalance wall time (0 unmeasured).
+
+        ``jobs`` is the ideal; a dispatcher that serialized the slow
+        kernel on one worker lands at or below 1.
+        """
         steal_s = float(self.imbalance.get("steal_s") or 0.0)
-        if not static_s or not steal_s:
+        if not steal_s:
             return 0.0
-        return static_s / steal_s
+        serial = float(self.imbalance["slow_points"]) * float(
+            self.imbalance["slow_seconds"]
+        )
+        return serial / steal_s
 
     def column_speedup(self, kernel: str, level: str = "counts") -> float:
-        """Per-budget / ladder on one column level (counts, trace, evaluate)."""
+        """Per-budget / ladder on one column level (counts, trace)."""
         timings = self.budget_column[kernel]
         return timings[f"{level}_per_budget"] / timings[f"{level}_ladder"]
 
@@ -227,7 +222,7 @@ class PerfReport:
         grid = perf_grid(self.quick)
         return {
             "bench": BENCH_NUMBER,
-            "name": "work-stealing dispatch",
+            "name": "one production path",
             "quick": self.quick,
             "grid": {
                 "kernels": list(grid.kernels),
@@ -236,33 +231,22 @@ class PerfReport:
                 "points": self.points,
             },
             "seconds": {
-                "grid_no_context": self.grid_no_context,
                 "grid_cold_context": self.grid_cold_context,
                 "grid_warm_context": self.grid_warm_context,
-                "single_point_no_context": self.single_no_context,
+                "single_point_cold_context": self.single_cold_context,
                 "single_point_warm_context": self.single_warm_context,
-                "grid_warm_supervised": self.grid_warm_supervised,
-                "grid_warm_unsupervised": self.grid_warm_unsupervised,
-                "imbalance_static": float(
-                    self.imbalance.get("static_s") or 0.0
-                ),
+                "grid_warm_run": self.grid_warm_run,
+                "grid_warm_evaluation": self.grid_warm_evaluation,
                 "imbalance_steal": float(
                     self.imbalance.get("steal_s") or 0.0
                 ),
             },
             "speedup": {
-                "grid_cold_vs_no_context": self.speedup_cold,
-                "grid_warm_vs_no_context": self.speedup_warm,
-                "single_point_warm_vs_no_context": self.speedup_single,
-                # ~1.0 when supervision is free; shrinks as its
-                # happy-path overhead grows, so the compare gate
-                # catches a bookkeeping regression host-independently.
-                "supervised_vs_unsupervised": (
-                    self.grid_warm_unsupervised / self.grid_warm_supervised
-                    if self.grid_warm_supervised else 0.0
-                ),
-                "steal_vs_static_imbalance": self.steal_speedup,
+                "grid_warm_vs_cold_context": self.speedup_warm,
+                "single_point_warm_vs_cold_context": self.speedup_single,
+                "steal_vs_serialized_imbalance": self.steal_speedup,
             },
+            "supervision_overhead": self.supervision_overhead,
             "imbalance": dict(self.imbalance, speedup=self.steal_speedup),
             "trace_single": {
                 kernel: {
@@ -279,11 +263,6 @@ class PerfReport:
                     "trace_per_budget_s": timings["trace_per_budget"],
                     "trace_ladder_s": timings["trace_ladder"],
                     "trace_speedup": self.column_speedup(kernel, "trace"),
-                    "evaluate_per_budget_s": timings["evaluate_per_budget"],
-                    "evaluate_ladder_s": timings["evaluate_ladder"],
-                    "evaluate_speedup": self.column_speedup(
-                        kernel, "evaluate"
-                    ),
                     "speedup": self.column_speedup(kernel),
                 }
                 for kernel, timings in self.budget_column.items()
@@ -291,34 +270,57 @@ class PerfReport:
             "single_repeats": self.single_repeats,
             "identical": self.identical,
             "context_stats": dict(self.context_stats),
-            "host": {
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-                "system": platform.system(),
-            },
+            "host": host_identity(),
         }
 
 
+#: The ``host`` keys that tell machines apart; a report lacking any of
+#: them cannot prove it ran where another report did.
+HOST_IDENTITY_KEYS = ("node", "cpus", "cpu_model")
+
+
+def _cpu_model() -> str:
+    """The CPU model name (``/proc/cpuinfo`` where readable)."""
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def host_identity() -> "dict[str, object]":
+    """The ``host`` block of a report: platform plus machine identity."""
+    return {
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "node": platform.node(),
+        "cpus": os.cpu_count(),
+        "cpu_model": _cpu_model(),
+    }
+
+
 def _time_grid(
-    space: ExplorationSpace,
-    context: "bool | EvalContext",
-    supervise: bool = True,
+    space: ExplorationSpace, context: EvalContext
 ) -> "tuple[float, ResultSet]":
     started = time.perf_counter()
-    results = Executor(jobs=1, context=context, supervise=supervise).run(space)
+    results = Executor(jobs=1, context=context).run(space)
     return time.perf_counter() - started, results
 
 
 def _time_single(
-    query: DesignQuery,
-    context: "bool | EvalContext",
-    repeats: int,
-    trace_engine: str = "array",
+    query: DesignQuery, repeats: int, context: "EvalContext | None" = None
 ) -> float:
+    """Best-of seconds for one query; a fresh context per repeat unless
+    ``context`` is given."""
     best = float("inf")
     for _ in range(repeats):
+        ctx = context if context is not None else EvalContext()
         started = time.perf_counter()
-        evaluate_query(query, context=context, trace_engine=trace_engine)
+        evaluate_query(query, context=ctx)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -326,23 +328,38 @@ def _time_single(
 def _time_trace_engines(
     kernels: "tuple[str, ...]", repeats: int
 ) -> "dict[str, dict[str, float]]":
-    """Cold single-point seconds per trace engine, per window kernel.
+    """Cold coverage seconds per trace engine, per window kernel.
 
-    Context off, so every repeat pays the full per-kernel analysis —
-    the cost the array engine exists to cut.  One throwaway evaluation
-    first warms the process kernel memo both engines share, so neither
-    engine is charged for kernel construction.
+    The subject is one CPA-RA point at budget 16: fresh
+    :class:`~repro.scalar.coverage.GroupCoverage` computers (batched,
+    budget ladder on) answer every group's coverage at the registers
+    the point allocates, once on each engine — the per-kernel trace and
+    region-ranking bill the array engine exists to cut, timed without
+    the query layer around it.
     """
+    from repro.analysis.groups import build_groups
+    from repro.core.pipeline import allocator_by_name
+    from repro.scalar.coverage import GroupCoverage
+
     timings: dict[str, dict[str, float]] = {}
-    for kernel in kernels:
-        query = DesignQuery(kernel=kernel, allocator="CPA-RA", budget=16)
-        evaluate_query(query, context=False)
-        timings[kernel] = {
-            engine: _time_single(
-                query, False, repeats, trace_engine=engine
-            )
-            for engine in ("reference", "array")
-        }
+    for kernel_name in kernels:
+        kernel = DesignQuery(
+            kernel=kernel_name, allocator="NO-SR", budget=1
+        ).build_kernel()
+        groups = build_groups(kernel)
+        allocation = allocator_by_name("CPA-RA").allocate(kernel, 16, groups)
+        per_engine: dict[str, float] = {}
+        for engine in ("reference", "array"):
+            best = float("inf")
+            for _ in range(repeats):
+                started = time.perf_counter()
+                for group in groups:
+                    GroupCoverage(kernel, group, engine=engine).result(
+                        allocation.registers_for(group.name)
+                    )
+                best = min(best, time.perf_counter() - started)
+            per_engine[engine] = best
+        timings[kernel_name] = per_engine
     return timings
 
 
@@ -370,7 +387,7 @@ def _time_budget_column(
 ) -> "dict[str, dict[str, float]]":
     """Cold full-budget-column seconds, per budget vs ladder, per kernel.
 
-    Three levels per window kernel, every one a real consumer path and
+    Two levels per window kernel, every one a real consumer path and
     bit-identical across modes:
 
     * ``counts`` — LRU miss counts of the window stream at every grid
@@ -381,12 +398,7 @@ def _time_budget_column(
     * ``trace`` — the window coverage result at every budget: a fresh
       :class:`~repro.scalar.coverage.GroupCoverage` per mode, ladder
       off (one Belady trace per budget) vs on (one shared
-      capacity-independent plane, a memoized walk per budget);
-    * ``evaluate`` — the end-to-end CPA-RA design column under a fresh
-      :class:`EvalContext` per timing (cold in the sense that matters:
-      no coverage or trace plane carried over), with a throwaway
-      evaluation first warming the process kernel memo so neither mode
-      is charged for kernel construction.
+      capacity-independent plane, a memoized walk per budget).
     """
     from repro.scalar.coverage import GroupCoverage
     from repro.sim.residency import lru_miss_counts, lru_misses
@@ -419,24 +431,6 @@ def _time_budget_column(
                     coverage.result(budget)
                 best = min(best, time.perf_counter() - started)
             per_mode[mode] = best
-
-        queries = [
-            DesignQuery(kernel=kernel_name, allocator="CPA-RA", budget=budget)
-            for budget in budgets
-        ]
-        evaluate_query(queries[0], context=False)
-        for mode, ladder in (
-            ("evaluate_per_budget", False),
-            ("evaluate_ladder", True),
-        ):
-            best = float("inf")
-            for _ in range(repeats):
-                ctx = EvalContext()
-                started = time.perf_counter()
-                for query in queries:
-                    evaluate_query(query, context=ctx, ladder=ladder)
-                best = min(best, time.perf_counter() - started)
-            per_mode[mode] = best
         timings[kernel_name] = per_mode
     return timings
 
@@ -460,19 +454,17 @@ def _imbalance_queries(quick: bool) -> "list[DesignQuery]":
 
 
 def _time_imbalance(quick: bool) -> "dict[str, object]":
-    """Static LPT chunks vs the work-stealing lease queue at ``jobs=4``.
+    """The work-stealing lease queue on the imbalance grid at ``jobs=4``.
 
     The grid mixes cheap allocator columns with an OPT-RA column, then
     pins a ``slow`` fault on *every* point of the kernel with the
-    smallest static-prior group cost — the one kernel the kernel-major
-    packer keeps whole in a single chunk (its predicted share is far
-    below one chunk's ideal).  The cost model cannot see the injected
-    latency, which is the point: static dispatch commits that kernel to
-    one worker and serializes ``slow_points x slow_seconds`` behind it,
-    while the lease queue hands the same points out one at a time to
-    whichever worker frees up.  Both sweeps run supervised, cache-less
-    and context-on; the returned ``identical`` verdict compares them
-    record for record.
+    smallest static-prior group cost.  The cost model cannot see the
+    injected latency, which is the point: a dispatcher that committed
+    that kernel to one worker would serialize ``slow_points x
+    slow_seconds`` behind it, while the lease queue hands the same
+    points out one at a time to whichever worker frees up.  The sweep
+    runs cache-less; the returned ``identical`` verdict compares its
+    records with inline, fault-free evaluation.
     """
     from repro.explore.faults import FaultPlan
     from repro.explore.schedule import static_cost
@@ -491,19 +483,12 @@ def _time_imbalance(quick: bool) -> "dict[str, object]":
     plan = FaultPlan.targeting(
         "slow", slow_queries, slow_seconds=slow_seconds
     )
-
-    def sweep(stealing: bool) -> "tuple[float, ResultSet]":
-        executor = Executor(
-            jobs=IMBALANCE_JOBS, context=True, supervise=True,
-            faults=plan, stealing=stealing,
-        )
-        started = time.perf_counter()
-        results = executor.run(list(queries))
-        return time.perf_counter() - started, results
-
-    static_seconds, static = sweep(stealing=False)
-    steal_seconds, stolen = sweep(stealing=True)
+    executor = Executor(jobs=IMBALANCE_JOBS, faults=plan)
+    started = time.perf_counter()
+    stolen = executor.run(list(queries))
+    steal_seconds = time.perf_counter() - started
     stats = stolen.stats
+    inline = tuple(evaluate_query(query) for query in queries)
     return {
         "jobs": IMBALANCE_JOBS,
         "points": len(queries),
@@ -511,12 +496,11 @@ def _time_imbalance(quick: bool) -> "dict[str, object]":
         "slow_kernel": slow_kernel,
         "slow_points": len(slow_queries),
         "slow_seconds": slow_seconds,
-        "static_s": static_seconds,
         "steal_s": steal_seconds,
-        "leases": stats.leases if stats is not None else 0,
-        "steals": stats.steals if stats is not None else 0,
-        "affinity_hits": stats.affinity_hits if stats is not None else 0,
-        "identical": tuple(static) == tuple(stolen),
+        "leases": stats.leases,
+        "steals": stats.steals,
+        "affinity_hits": stats.affinity_hits,
+        "identical": tuple(stolen) == inline,
     }
 
 
@@ -525,35 +509,32 @@ def run_perf(quick: bool = False, single_repeats: int = 5) -> PerfReport:
 
     Context runs use explicit fresh :class:`EvalContext` instances (never
     the process-global one), so cold really means cold even inside a
-    long-lived process, and the no-context baseline is never polluted by
-    artifacts another phase built.
+    long-lived process.
     """
     space = perf_grid(quick)
 
-    base_seconds, base = _time_grid(space, context=False)
     ctx = EvalContext()
-    cold_seconds, cold = _time_grid(space, context=ctx)
-    warm_seconds, warm = _time_grid(space, context=ctx)
-    identical = tuple(base) == tuple(cold) and tuple(base) == tuple(warm)
+    cold_seconds, cold = _time_grid(space, ctx)
+    warm_seconds, warm = _time_grid(space, ctx)
+    identical = tuple(cold) == tuple(warm)
+    identical = identical and not verify_reference(space.expand())
 
-    # Supervision overhead: the same warm grid, supervised (the
-    # default drive loop) vs bare, best-of so one scheduler hiccup
-    # cannot fake a regression.  Also part of the equivalence verdict:
-    # supervision must not change a single record.
-    sup_seconds = unsup_seconds = float("inf")
+    # Supervision overhead: warm-grid run wall vs the evaluation seconds
+    # its records carry, best-of so one scheduler hiccup cannot fake a
+    # regression.
+    run_seconds = evaluation_seconds = float("inf")
     for _ in range(min(single_repeats, 3)):
-        seconds, supervised = _time_grid(space, context=ctx, supervise=True)
-        sup_seconds = min(sup_seconds, seconds)
-        identical = identical and tuple(base) == tuple(supervised)
-        seconds, bare = _time_grid(space, context=ctx, supervise=False)
-        unsup_seconds = min(unsup_seconds, seconds)
-        identical = identical and tuple(base) == tuple(bare)
+        seconds, results = _time_grid(space, ctx)
+        if seconds < run_seconds:
+            run_seconds = seconds
+            evaluation_seconds = sum(r.seconds or 0.0 for r in results)
+        identical = identical and tuple(results) == tuple(cold)
 
-    single_base = _time_single(SINGLE_POINT, False, single_repeats)
+    single_cold = _time_single(SINGLE_POINT, single_repeats)
     single_ctx = EvalContext()
     # Prime, then time: every repeat after the first runs warm anyway.
     evaluate_query(SINGLE_POINT, context=single_ctx)
-    single_warm = _time_single(SINGLE_POINT, single_ctx, single_repeats)
+    single_warm = _time_single(SINGLE_POINT, single_repeats, single_ctx)
 
     trace_single = _time_trace_engines(
         QUICK_TRACE_KERNELS if quick else TRACE_KERNELS, single_repeats
@@ -574,15 +555,14 @@ def run_perf(quick: bool = False, single_repeats: int = 5) -> PerfReport:
     return PerfReport(
         quick=quick,
         points=space.size,
-        grid_no_context=base_seconds,
         grid_cold_context=cold_seconds,
         grid_warm_context=warm_seconds,
-        single_no_context=single_base,
+        single_cold_context=single_cold,
         single_warm_context=single_warm,
         single_repeats=single_repeats,
         identical=identical,
-        grid_warm_supervised=sup_seconds,
-        grid_warm_unsupervised=unsup_seconds,
+        grid_warm_run=run_seconds,
+        grid_warm_evaluation=evaluation_seconds,
         context_stats=ctx.stats.as_dict(),
         trace_single=trace_single,
         budget_column=budget_column,
@@ -595,26 +575,24 @@ def render_perf(report: PerfReport) -> str:
     lines = [
         f"perf: {report.points}-point grid at jobs=1"
         + (" (quick)" if report.quick else ""),
-        f"  no-context    {report.grid_no_context:8.2f}s   (baseline)",
-        f"  cold context  {report.grid_cold_context:8.2f}s   "
-        f"{report.speedup_cold:5.2f}x",
+        f"  cold context  {report.grid_cold_context:8.2f}s",
         f"  warm context  {report.grid_warm_context:8.2f}s   "
         f"{report.speedup_warm:5.2f}x",
-        f"  single point  {report.single_no_context * 1e3:8.2f}ms -> "
+        f"  single point  {report.single_cold_context * 1e3:8.2f}ms -> "
         f"{report.single_warm_context * 1e3:.2f}ms warm "
         f"({report.speedup_single:.2f}x, best of {report.single_repeats})",
     ]
-    if report.grid_warm_supervised:
+    if report.grid_warm_run:
         lines.append(
-            f"  supervision   {report.grid_warm_supervised:8.2f}s vs "
-            f"{report.grid_warm_unsupervised:.2f}s bare "
+            f"  supervision   {report.grid_warm_run:8.3f}s run vs "
+            f"{report.grid_warm_evaluation:.3f}s evaluation "
             f"({report.supervision_overhead:+.1%} overhead, warm grid)"
         )
     for kernel, timings in report.trace_single.items():
         lines.append(
             f"  trace {kernel:<7} {timings['reference'] * 1e3:8.2f}ms -> "
             f"{timings['array'] * 1e3:.2f}ms array "
-            f"({report.trace_speedup(kernel):.2f}x cold, context off)"
+            f"({report.trace_speedup(kernel):.2f}x cold coverage)"
         )
     for kernel, timings in report.budget_column.items():
         lines.append(
@@ -622,17 +600,15 @@ def render_perf(report: PerfReport) -> str:
             f"{timings['counts_per_budget'] * 1e3:8.2f}ms -> "
             f"{timings['counts_ladder'] * 1e3:.2f}ms "
             f"({report.column_speedup(kernel):.2f}x), trace "
-            f"{report.column_speedup(kernel, 'trace'):.2f}x, evaluate "
-            f"{report.column_speedup(kernel, 'evaluate'):.2f}x "
+            f"{report.column_speedup(kernel, 'trace'):.2f}x "
             f"(full budget axis, one ladder pass vs per budget)"
         )
     if report.imbalance:
         lines.append(
-            f"  imbalance     {report.imbalance['static_s']:8.2f}s static -> "
-            f"{report.imbalance['steal_s']:.2f}s stealing "
-            f"({report.steal_speedup:.2f}x at jobs="
-            f"{report.imbalance['jobs']}, {report.imbalance['slow_points']} "
-            f"slow points pinned on {report.imbalance['slow_kernel']})"
+            f"  imbalance     {report.imbalance['steal_s']:8.2f}s at jobs="
+            f"{report.imbalance['jobs']} ({report.steal_speedup:.2f}x the "
+            f"{report.imbalance['slow_points']} slow points pinned on "
+            f"{report.imbalance['slow_kernel']} serialized)"
         )
     lines.append(f"  records bit-identical: {report.identical}")
     return "\n".join(lines)
@@ -690,6 +666,16 @@ def _flat_ratios(doc: dict) -> "dict[str, float]":
     return ratios
 
 
+def _host_key(doc: dict) -> "tuple | None":
+    """The machine identity of a report, or None when it has none."""
+    host = doc.get("host")
+    if not isinstance(host, dict) or any(
+        host.get(key) is None for key in HOST_IDENTITY_KEYS
+    ):
+        return None
+    return tuple(host[key] for key in HOST_IDENTITY_KEYS)
+
+
 def compare_reports(
     old: dict, new: dict, threshold: float = COMPARE_THRESHOLD
 ) -> "tuple[list[CompareRow], list[CompareRow]]":
@@ -701,47 +687,50 @@ def compare_reports(
     no budget-column block) still prints, as a non-gating info row with
     no old value.  A metric regresses when the new report is more than
     ``threshold`` times worse; which metrics *gate* depends on whether
-    the two reports measured the same grid (identical ``grid`` blocks):
+    the two reports measured the same grid (identical ``grid`` blocks)
+    on the same machine (identical ``host`` identity: node name, CPU
+    count and CPU model):
 
-    * **same grid** — the committed ``BENCH_<n>.json`` trajectory:
-      absolute **seconds** gate (the honest comparison on one host) and
-      the speedup ratios print as information, because a ratio deflates
-      whenever its *baseline* gets faster — exactly what a perf PR
-      does — without anything having regressed;
-    * **different grids** (e.g. a ``--quick`` CI run vs the committed
-      full run): only the host-independent **ratio** metrics gate, and
-      the threshold should stay loose — grid shape shifts ratios too.
+    * **same grid, same host** — the committed ``BENCH_<n>.json``
+      trajectory: absolute **seconds** gate (the honest comparison on
+      one host) and the speedup ratios print as information, because a
+      ratio deflates whenever its *baseline* gets faster — exactly what
+      a perf PR does — without anything having regressed;
+    * **otherwise** (e.g. a ``--quick`` CI run vs the committed full
+      run, or the same grid timed on another machine): only the
+      host-independent **ratio** metrics gate, and the threshold should
+      stay loose — grid shape and hardware shift ratios too.
 
-    A report with no ``grid`` block at all cannot claim to share a grid
-    with anything — two grid-less reports may come from unrelated
-    hosts, and gating absolute seconds across hosts is meaningless.
-    Missing grids therefore fall back to ratio-only gating, with a
-    warning naming the defect.
+    A report with no ``grid`` block, or no host identity (reports
+    written before the identity was recorded), cannot prove it shares a
+    grid and a machine with anything.  Such comparisons fall back to
+    ratio-only gating, with a warning naming the defect.
     """
     rows: list[CompareRow] = []
-    old_grid, new_grid = old.get("grid"), new.get("grid")
-    if old_grid is None or new_grid is None:
-        which = " and ".join(
-            label
-            for label, grid in (("old", old_grid), ("new", new_grid))
-            if grid is None
-        )
+    missing = []
+    for label, doc in (("old", old), ("new", new)):
+        if doc.get("grid") is None:
+            missing.append(f"{label} report missing its 'grid' block")
+        if _host_key(doc) is None:
+            missing.append(f"{label} report missing its host identity")
+    if missing:
         warnings.warn(
-            f"perf compare: {which} report missing its 'grid' block; "
-            "cannot prove the reports measured the same grid on the "
-            "same host — absolute seconds will not gate (ratio-only "
-            "comparison)",
+            f"perf compare: {'; '.join(missing)}; cannot prove the "
+            "reports measured the same grid on the same host — absolute "
+            "seconds will not gate (ratio-only comparison)",
             stacklevel=2,
         )
-        same_grid = False
+        comparable = False
     else:
-        same_grid = old_grid == new_grid
+        comparable = old["grid"] == new["grid"] and (
+            _host_key(old) == _host_key(new)
+        )
     old_ratios, new_ratios = _flat_ratios(old), _flat_ratios(new)
     for metric in sorted(old_ratios.keys() & new_ratios.keys()):
         rows.append(
             CompareRow(
                 metric, old_ratios[metric], new_ratios[metric], "ratio",
-                gates=not same_grid,
+                gates=not comparable,
             )
         )
     for metric in sorted(new_ratios.keys() - old_ratios.keys()):
@@ -762,7 +751,7 @@ def compare_reports(
                 float(old_seconds[key]),
                 float(new_seconds[key]),
                 "seconds",
-                gates=same_grid,
+                gates=comparable,
             )
         )
     regressions = [row for row in rows if row.regressed(threshold)]
@@ -806,4 +795,6 @@ def render_compare(
     if regressions:
         names = ", ".join(row.metric for row in regressions)
         return table + f"\nperf: FAIL — regressed beyond {threshold:.2f}x: {names}"
+    if not any(row.gates for row in rows):
+        return table + "\nperf: FAIL — no metric gates this comparison"
     return table + "\nperf: no regressions on gated metrics"

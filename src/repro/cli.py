@@ -153,16 +153,10 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=cache,
         reuse_cache=reuse,
-        batch=not args.no_batch,
-        context=not args.no_context,
         shard=args.shard,
-        trace_engine="reference" if args.no_array_trace else "array",
-        ladder=not args.no_budget_ladder,
-        supervise=not args.no_supervise,
         retry=RetryPolicy(max_retries=args.max_retries),
         deadlines=DeadlinePolicy(timeout_factor=args.timeout_factor),
         faults=faults,
-        stealing=not args.no_steal,
     )
     if args.dry_run:
         print(executor.dry_run(space))
@@ -227,7 +221,8 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         print(render_compare(
             rows, old_path.name, new_path.name, threshold=args.threshold,
         ))
-        return 1 if regressions else 0
+        # A comparison in which nothing gates proves nothing.
+        return 1 if regressions or not any(r.gates for r in rows) else 0
 
     report = run_perf(quick=args.quick, single_repeats=args.repeats)
     print(render_perf(report))
@@ -236,59 +231,35 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         print(f"perf: wrote {path}", file=sys.stderr)
     if not report.identical:
         print(
-            "perf: FAIL — context records diverged from the no-context "
-            "reference",
+            "perf: FAIL — production records diverged from the reference "
+            "oracle",
             file=sys.stderr,
         )
         return 1
-    if args.min_speedup is not None and report.speedup_warm < args.min_speedup:
+    floors = (
+        (args.min_speedup, report.speedup_warm,
+         "warm- vs cold-context grid speedup"),
+        (args.min_trace_speedup, report.best_trace_speedup,
+         "best trace-engine speedup"),
+        (args.min_column_speedup, report.best_column_speedup,
+         "best budget-column ladder speedup"),
+        (args.min_steal_speedup, report.steal_speedup,
+         "imbalance-grid speedup over its serialized slow latency"),
+    )
+    for floor, measured, what in floors:
+        if floor is not None and measured < floor:
+            print(
+                f"perf: FAIL — {what} {measured:.2f}x is below the "
+                f"required {floor:.2f}x",
+                file=sys.stderr,
+            )
+            return 1
+    ceiling = args.max_supervision_overhead
+    if ceiling is not None and report.supervision_overhead > ceiling:
         print(
-            f"perf: FAIL — warm-context grid speedup {report.speedup_warm:.2f}x "
-            f"is below the required {args.min_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_trace_speedup is not None
-        and report.best_trace_speedup < args.min_trace_speedup
-    ):
-        print(
-            f"perf: FAIL — best trace-engine speedup "
-            f"{report.best_trace_speedup:.2f}x is below the required "
-            f"{args.min_trace_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_column_speedup is not None
-        and report.best_column_speedup < args.min_column_speedup
-    ):
-        print(
-            f"perf: FAIL — best budget-column ladder speedup "
-            f"{report.best_column_speedup:.2f}x is below the required "
-            f"{args.min_column_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.min_steal_speedup is not None
-        and report.steal_speedup < args.min_steal_speedup
-    ):
-        print(
-            f"perf: FAIL — work-stealing speedup {report.steal_speedup:.2f}x "
-            f"on the imbalance grid is below the required "
-            f"{args.min_steal_speedup:.2f}x",
-            file=sys.stderr,
-        )
-        return 1
-    if (
-        args.max_supervision_overhead is not None
-        and report.supervision_overhead > args.max_supervision_overhead
-    ):
-        print(
-            f"perf: FAIL — supervised warm-grid overhead "
+            f"perf: FAIL — warm-grid run overhead beyond evaluation "
             f"{report.supervision_overhead:.1%} exceeds the allowed "
-            f"{args.max_supervision_overhead:.1%}",
+            f"{ceiling:.1%}",
             file=sys.stderr,
         )
         return 1
@@ -449,39 +420,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "from cache",
     )
     p_explore.add_argument(
-        "--no-batch", action="store_true",
-        help="disable batched steady-state evaluation (reference path; "
-        "results are bit-identical either way)",
-    )
-    p_explore.add_argument(
-        "--no-context", action="store_true",
-        help="disable the shared-artifact evaluation context (reference "
-        "path; results are bit-identical either way)",
-    )
-    p_explore.add_argument(
-        "--no-array-trace", action="store_true",
-        help="disable the vectorized trace engine and run the reference "
-        "residency simulators (results are bit-identical either way)",
-    )
-    p_explore.add_argument(
-        "--no-budget-ladder", action="store_true",
-        help="disable budget-ladder evaluation (per-budget trace planes "
-        "and per-budget knapsack tables; results are bit-identical "
-        "either way)",
-    )
-    p_explore.add_argument(
-        "--no-supervise", action="store_true",
-        help="disable the supervised drive loop (deadlines, retries, "
-        "quarantine, pool recovery); results are bit-identical on the "
-        "happy path, but a broken worker pool aborts the sweep",
-    )
-    p_explore.add_argument(
-        "--no-steal", action="store_true",
-        help="disable the work-stealing lease dispatcher and restore "
-        "static cost-model chunk packing (results are bit-identical "
-        "either way)",
-    )
-    p_explore.add_argument(
         "--dry-run", action="store_true",
         help="print the planned queue (per-lease predicted cost from "
         "the persisted cost model, cold-prior points marked) and exit "
@@ -524,7 +462,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     p_perf = sub.add_parser(
         "perf",
-        help="run the tracked microbenchmark harness (emits BENCH_10.json) "
+        help="run the tracked microbenchmark harness (emits BENCH_14.json) "
         "or compare two emitted reports",
     )
     p_perf.add_argument(
@@ -533,7 +471,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_perf.add_argument(
         "--out", default=None, metavar="PATH",
-        help="write the JSON report here (e.g. BENCH_10.json)",
+        help="write the JSON report here (e.g. BENCH_14.json)",
     )
     p_perf.add_argument(
         "--repeats", type=int, default=5,
@@ -542,12 +480,13 @@ def main(argv: "list[str] | None" = None) -> int:
     p_perf.add_argument(
         "--min-speedup", type=float, default=None, metavar="X",
         help="exit non-zero unless the warm-context grid is at least X "
-        "times faster than the no-context baseline",
+        "times faster than the cold-context grid",
     )
     p_perf.add_argument(
         "--min-trace-speedup", type=float, default=None, metavar="X",
         help="exit non-zero unless the array trace engine beats the "
-        "reference simulators by at least X on some window kernel",
+        "reference simulators by at least X on some window kernel's "
+        "cold coverage",
     )
     p_perf.add_argument(
         "--min-column-speedup", type=float, default=None, metavar="X",
@@ -557,20 +496,21 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     p_perf.add_argument(
         "--min-steal-speedup", type=float, default=None, metavar="X",
-        help="exit non-zero unless work-stealing dispatch beats static "
-        "chunking by at least X on the heterogeneous imbalance grid "
-        "at jobs=4",
+        help="exit non-zero unless the jobs=4 imbalance grid finishes at "
+        "least X times faster than its pinned slow points' serialized "
+        "latency (2 = within twice the ideal)",
     )
     p_perf.add_argument(
         "--max-supervision-overhead", type=float, default=None, metavar="F",
-        help="exit non-zero when the supervised warm grid is more than "
-        "this fraction slower than --no-supervise (e.g. 0.03 = 3%%)",
+        help="exit non-zero when the warm grid's Executor.run wall time "
+        "exceeds the evaluation seconds of its records by more than this "
+        "fraction (e.g. 0.5 = 50%%)",
     )
     p_perf.add_argument(
         "--compare", nargs=2, default=None, metavar=("OLD.json", "NEW.json"),
         help="compare two emitted reports instead of running: per-metric "
-        "regression/speedup table, non-zero exit when a host-independent "
-        "ratio metric regressed beyond --threshold",
+        "regression/speedup table, non-zero exit when a gated metric "
+        "regressed beyond --threshold or no metric gates",
     )
     from repro.bench.perf import COMPARE_THRESHOLD
 

@@ -86,7 +86,8 @@ from repro.errors import ReproError
 # repro.sim.residency from a partially initialized repro.sim, but not
 # the other way around).
 from repro.sim.cycles import classify_patterns, has_active_read  # isort: skip
-from repro.scalar.coverage import GroupCoverage  # isort: skip
+from repro.scalar.coverage import coverage_for  # isort: skip
+from repro.sim.patterns import PatternClassifier
 from repro.sim.scheduler import schedule_iteration
 from repro.synth.estimate import classify_operand_storage, count_with_best_anchors
 
@@ -145,9 +146,6 @@ class OptimalAllocator(Allocator):
         overhead_per_iteration: int = 1,
         node_limit: "int | None" = None,
         time_box: "float | None" = None,
-        batch: bool = True,
-        trace_engine: str = "array",
-        ladder: bool = True,
     ) -> None:
         if node_limit is not None and node_limit < 1:
             raise ReproError(f"node_limit must be >= 1, got {node_limit}")
@@ -158,25 +156,22 @@ class OptimalAllocator(Allocator):
         self._overhead = overhead_per_iteration
         self.node_limit = node_limit
         self.time_box = time_box
-        self._batch = batch
-        self._trace_engine = trace_engine
-        self._ladder = ladder
+        self._reference = False
 
     def tune(
         self,
         model: "LatencyModel | None" = None,
         ram_ports: "int | None" = None,
         overhead_per_iteration: "int | None" = None,
-        batch: "bool | None" = None,
-        trace_engine: "str | None" = None,
-        ladder: "bool | None" = None,
+        reference: "bool | None" = None,
     ) -> "OptimalAllocator":
         """Align the search objective with a query's evaluation setup.
 
         Only given parameters change; returns ``self`` for chaining.
         The evaluator (:func:`repro.explore.evaluate.design_for`) calls
         this before :meth:`allocate`, so what OPT-RA optimizes is
-        exactly what the resulting record reports.
+        exactly what the resulting record reports — the ``reference``
+        flag included, which runs every leaf through the oracle.
         """
         if model is not None:
             self._model = model
@@ -184,19 +179,15 @@ class OptimalAllocator(Allocator):
             self._ram_ports = ram_ports
         if overhead_per_iteration is not None:
             self._overhead = overhead_per_iteration
-        if batch is not None:
-            self._batch = batch
-        if trace_engine is not None:
-            self._trace_engine = trace_engine
-        if ladder is not None:
-            self._ladder = ladder
+        if reference is not None:
+            self._reference = reference
         return self
 
     # -- the search -----------------------------------------------------------
 
     def _run(self, state: AllocationState) -> None:
         kernel, groups, budget = state.kernel, state.groups, state.budget
-        ctx = state.context
+        ctx = None if self._reference else state.context
         model = self._model or LatencyModel.realistic(ram_latency=2)
         ram_ports = self._ram_ports if self._ram_ports is not None else 1
         overhead = self._overhead
@@ -204,14 +195,7 @@ class OptimalAllocator(Allocator):
             self.node_limit if self.node_limit is not None else DEFAULT_NODE_LIMIT
         )
 
-        params = (
-            _model_fingerprint(model),
-            ram_ports,
-            overhead,
-            self._batch,
-            self._trace_engine,
-            self._ladder,
-        )
+        params = (_model_fingerprint(model), ram_ports, overhead)
         if ctx is not None:
             entry = ctx.optra_lookup(kernel, groups, params, budget)
             if entry is not None:
@@ -224,11 +208,7 @@ class OptimalAllocator(Allocator):
                 )
                 return
 
-        search = _Search(
-            state, model, ram_ports, overhead,
-            batch=self._batch, trace_engine=self._trace_engine,
-            ladder=self._ladder,
-        )
+        search = _Search(state, model, ram_ports, overhead, self._reference)
         outcome = search.solve(node_limit, self.time_box)
 
         self._apply(state, outcome.registers)
@@ -301,36 +281,26 @@ class _Search:
         model: LatencyModel,
         ram_ports: int,
         overhead: int,
-        batch: bool,
-        trace_engine: str,
-        ladder: bool,
+        reference: bool,
     ) -> None:
         self.kernel = state.kernel
         self.groups = state.groups
         self.budget = state.budget
-        self.ctx = state.context
+        # The reference oracle never uses a context.
+        self.ctx = None if reference else state.context
+        self.reference = reference
         self.model = model
         self.ram_ports = ram_ports
         self.overhead = overhead
-        self.batch = batch
-        self.trace_engine = trace_engine
-        self.ladder = ladder
 
         if self.ctx is not None:
             self.dfg = self.ctx.dfg(self.kernel, self.groups)
-            self.coverages = self.ctx.coverages(
-                self.kernel, self.groups, batch=batch,
-                trace_engine=trace_engine, ladder=ladder,
-            )
+            self.coverages = self.ctx.coverages(self.kernel, self.groups)
         else:
             self.dfg = build_dfg(self.kernel, self.groups)
-            self.coverages = {
-                g.name: GroupCoverage(
-                    self.kernel, g, batch=batch, engine=trace_engine,
-                    ladder=ladder,
-                )
-                for g in self.groups
-            }
+            self.coverages = coverage_for(
+                self.kernel, self.groups, reference=self.reference
+            )
         self.shape = self.kernel.nest.trip_counts()
         self.space = int(np.prod(self.shape))
         self.extra_budget = self.budget - len(self.groups)
@@ -350,11 +320,14 @@ class _Search:
         )
 
         self._zeros = np.zeros(self.shape, dtype=bool)
-        self.classifier = (
-            self.ctx.pattern_classifier(self.kernel, self.dfg)
-            if self.ctx is not None
-            else None
-        )
+        # The reference oracle classifies the full grid (no classifier).
+        self.classifier = None
+        if self.ctx is not None:
+            self.classifier = self.ctx.pattern_classifier(
+                self.kernel, self.dfg
+            )
+        if self.classifier is None and not reference:
+            self.classifier = PatternClassifier(self.shape, self.dfg)
         self._sched_memo: "dict[tuple, tuple[int, int]]" = {}
         self._leaf_memo: "dict[tuple[int, ...], int]" = {}
 
@@ -425,10 +398,8 @@ class _Search:
             self.dfg,
             self.coverages,
             storage,
-            self.batch,
             self.ctx,
-            self.trace_engine,
-            self.ladder,
+            self.reference,
         )
         cycles = report.total_cycles
         self._leaf_memo[key] = cycles

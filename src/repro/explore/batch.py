@@ -1,31 +1,29 @@
-"""Batched iteration evaluation: the explore-layer API and its audit.
+"""Auditing the production path against the reference oracle.
 
-The batched evaluation path classifies a kernel's iterations into
-steady-state and boundary pattern classes and evaluates each class once
-with a multiplier instead of interpreting every iteration:
+Production evaluation runs every fast path at once:
 
 * window (rotating-register) references run the row-memoized Belady
-  trace (:func:`repro.sim.residency.opt_trace` with a ``row_len``) —
-  boundary rows at the start and truncated-future rows at the end are
-  simulated exactly, steady-state rows replay a recorded trace;
+  trace on the array engine (:func:`repro.sim.residency.opt_trace` with
+  a period ladder), with one capacity-shared trace plane per group
+  answering every register budget;
 * pinned (invariant) references rank one representative region per
   shift-normalized region class and stamp the result across the class
-  (:meth:`repro.scalar.coverage.GroupCoverage`);
-* the cycle counter schedules each distinct joint hit/miss pattern once
-  and weights it by its iteration count (as before).
+  (:class:`repro.scalar.coverage.GroupCoverage`);
+* the cycle counter classifies iterations over the kernel's shared
+  iteration-atom partition and schedules each distinct joint hit/miss
+  pattern once, weighted by its iteration count;
+* the process's :class:`~repro.explore.context.EvalContext` memoizes the
+  artifacts a sweep's points share.
 
-Everything downstream is **bit-identical** to the unbatched reference
-path — same :class:`~repro.explore.query.DesignRecord`, same cache
-entries.  This module provides the audit tooling that keeps that claim
-pinned: :func:`compare_batched` diffs one query's batched and unbatched
-records field by field, and :func:`verify_batch_equivalence` sweeps a
-whole query list (the acceptance test and the fuzz suite drive both).
-
-``batch=`` passthroughs: :class:`~repro.explore.executor.Executor`,
-:func:`~repro.explore.evaluate.evaluate_query`,
-:func:`repro.bench.sweeps.budget_sweep` / ``latency_sweep`` /
-``policy_comparison``, :func:`repro.bench.table1.generate_table1`, and
-``repro explore --no-batch`` on the CLI.
+The ``reference`` flag of :func:`~repro.explore.evaluate.evaluate_query`
+turns all of them off at once: reference trace engine, per budget,
+unbatched, full-grid classification, no context.  The two paths must
+produce the **bit-identical** :class:`~repro.explore.query.DesignRecord`.
+This module keeps that claim pinned: :func:`compare_reference` diffs one
+query's production and reference records field by field, and
+:func:`verify_reference` sweeps a whole query list (the acceptance tests
+and the fuzz suite drive both).  They are the only callers of the
+oracle outside the tests.
 """
 
 from __future__ import annotations
@@ -34,142 +32,71 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from repro.explore.evaluate import evaluate_query
+from repro.explore.evaluate import design_for, evaluate_query
 from repro.explore.query import DesignQuery, DesignRecord
 
 __all__ = [
-    "BatchMismatch",
-    "compare_batched",
-    "compare_trace_engines",
-    "compare_ladder",
-    "verify_batch_equivalence",
-    "verify_trace_equivalence",
-    "verify_ladder_equivalence",
+    "ReferenceMismatch",
+    "compare_reference",
+    "verify_reference",
     "iteration_classes",
 ]
 
 
 @dataclass(frozen=True)
-class BatchMismatch:
-    """One field where the batched record diverged from the reference."""
+class ReferenceMismatch:
+    """One field where the production record diverged from the oracle."""
 
     query: DesignQuery
     field: str
-    batched: Any
-    unbatched: Any
+    production: Any
+    reference: Any
 
     def describe(self) -> str:
         return (
             f"{self.query.describe()}: {self.field} "
-            f"batched={self.batched!r} != unbatched={self.unbatched!r}"
+            f"production={self.production!r} != "
+            f"reference={self.reference!r}"
         )
 
 
-def _diff_records(
-    query: DesignQuery, left: "Any", right: "Any"
-) -> list[BatchMismatch]:
-    mismatches: list[BatchMismatch] = []
+def compare_reference(query: DesignQuery) -> list[ReferenceMismatch]:
+    """Evaluate ``query`` on both paths; list every differing field."""
+    production = evaluate_query(query)
+    reference = evaluate_query(query, reference=True)
+    mismatches: list[ReferenceMismatch] = []
     for field in dataclasses.fields(DesignRecord):
         if field.name == "query" or not field.compare:
             # compare=False fields (seconds, stages) are run bookkeeping,
             # not results.
             continue
-        a = getattr(left, field.name)
-        b = getattr(right, field.name)
+        a = getattr(production, field.name)
+        b = getattr(reference, field.name)
         if a != b:
-            mismatches.append(BatchMismatch(query, field.name, a, b))
+            mismatches.append(ReferenceMismatch(query, field.name, a, b))
     return mismatches
 
 
-def compare_batched(query: DesignQuery) -> list[BatchMismatch]:
-    """Evaluate ``query`` both ways; list every differing record field."""
-    batched = evaluate_query(query, batch=True)
-    unbatched = evaluate_query(query, batch=False)
-    return _diff_records(query, batched, unbatched)
-
-
-def compare_trace_engines(
-    query: DesignQuery, batch: bool = True
-) -> list[BatchMismatch]:
-    """Evaluate ``query`` under both trace engines; diff the records.
-
-    The array engine must be bit-identical to the reference engine at
-    either ``batch`` setting — this is the record-level audit the
-    acceptance tests and the fuzz suite drive, mirroring
-    :func:`compare_batched`.
-    """
-    fast = evaluate_query(query, batch=batch, trace_engine="array")
-    slow = evaluate_query(query, batch=batch, trace_engine="reference")
-    return _diff_records(query, fast, slow)
-
-
-def compare_ladder(
-    query: DesignQuery, batch: bool = True, trace_engine: str = "array"
-) -> list[BatchMismatch]:
-    """Evaluate ``query`` with and without the budget ladder; diff records.
-
-    The budget-ladder fast path (capacity-shared trace planes, see
-    :class:`~repro.sim.residency.OptTraceLadder`) must be bit-identical
-    to per-budget evaluation at every ``batch`` × ``trace_engine``
-    combination — the record-level audit behind
-    ``repro explore --no-budget-ladder``, mirroring
-    :func:`compare_batched`.
-    """
-    fast = evaluate_query(
-        query, batch=batch, trace_engine=trace_engine, ladder=True
-    )
-    slow = evaluate_query(
-        query, batch=batch, trace_engine=trace_engine, ladder=False
-    )
-    return _diff_records(query, fast, slow)
-
-
-def verify_batch_equivalence(
+def verify_reference(
     queries: "Iterable[DesignQuery]",
-) -> list[BatchMismatch]:
+) -> list[ReferenceMismatch]:
     """All mismatches over a query list (empty = bit-identical sweep)."""
-    mismatches: list[BatchMismatch] = []
+    mismatches: list[ReferenceMismatch] = []
     for query in queries:
-        mismatches.extend(compare_batched(query))
-    return mismatches
-
-
-def verify_trace_equivalence(
-    queries: "Iterable[DesignQuery]", batch: bool = True
-) -> list[BatchMismatch]:
-    """Array-vs-reference mismatches over a query list (empty = clean)."""
-    mismatches: list[BatchMismatch] = []
-    for query in queries:
-        mismatches.extend(compare_trace_engines(query, batch=batch))
-    return mismatches
-
-
-def verify_ladder_equivalence(
-    queries: "Iterable[DesignQuery]",
-    batch: bool = True,
-    trace_engine: str = "array",
-) -> list[BatchMismatch]:
-    """Ladder-vs-per-budget mismatches over a query list (empty = clean)."""
-    mismatches: list[BatchMismatch] = []
-    for query in queries:
-        mismatches.extend(
-            compare_ladder(query, batch=batch, trace_engine=trace_engine)
-        )
+        mismatches.extend(compare_reference(query))
     return mismatches
 
 
 def iteration_classes(
-    query: DesignQuery, batch: bool = True, trace_engine: str = "array"
+    query: DesignQuery,
 ) -> tuple[tuple[tuple[str, ...], int, int], ...]:
     """The joint hit/miss pattern classes of one design point.
 
     Each entry is ``(miss events, iteration count, cycles per
-    iteration)`` — the classification the batched path evaluates once
+    iteration)`` — the classification the cycle counter evaluates once
     per class.  A steady-state-dominated kernel shows one large class
     plus small boundary classes.  Raises the point's original error for
     infeasible queries.
     """
-    from repro.explore.evaluate import design_for
-
-    design, _ = design_for(query, batch=batch, trace_engine=trace_engine)
+    design, _ = design_for(query)
     return design.cycles.pattern_counts

@@ -14,16 +14,16 @@ Evaluation runs on the shared-artifact plane of
 rank/Belady structures, per-pattern schedule makespans, CPA-RA critical
 graphs and KS-RA DP tables are memoized per process and reused across
 the allocator/budget axes of a sweep, so the marginal cost of a grid
-point is the allocation decision rather than the whole analysis.
-``context=False`` (CLI: ``--no-context``) disables the artifact memos —
-bit-identical results, reference speed — and an explicit
+point is the allocation decision rather than the whole analysis.  By
+default the process-global context serves; an explicit
 :class:`EvalContext` instance gives benchmarks controlled cold/warm
 runs.
 
-``batch=True`` (the default) routes the cycle count through the
-steady-state/boundary batched path (see :mod:`repro.explore.batch`);
-``batch=False`` runs the reference per-iteration path.  Both produce
-bit-identical records, so the cache is shared between them.
+There is one production path and one oracle: the ``reference`` flag runs
+the reference trace engine, per budget, unbatched, with full-grid
+pattern classification and no context.  Only tests and the auditors of
+:mod:`repro.explore.batch` reach it; both paths produce bit-identical
+records.
 
 This module is also the root of the cache's dependency cone: the
 version vector a cache entry records is the transitive import closure
@@ -36,13 +36,12 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-from repro.analysis.groups import RefGroup
+from repro.analysis.groups import build_groups
 from repro.core.pipeline import allocator_by_name
 from repro.errors import ReproError
-from repro.explore.context import EvalContext, process_context, resolve_context
+from repro.explore.context import EvalContext, process_context
 from repro.explore.query import DesignQuery, DesignRecord
 from repro.hw.device import Device
-from repro.ir.kernel import Kernel
 from repro.scalar.coverage import trace_engine_seconds
 from repro.synth.design import HardwareDesign
 from repro.synth.estimate import build_design, charge_stage, fold_trace_stage
@@ -55,35 +54,18 @@ __all__ = [
 ]
 
 
-def _kernel_and_groups(
-    kernel_name: str, kernel_json: "str | None"
-) -> "tuple[Kernel, tuple[RefGroup, ...]]":
-    """Build a query's kernel and its reference groups once per process.
-
-    Thin picklable wrapper over the process context's kernel memo (the
-    former module-level ``lru_cache(maxsize=64)`` — the bound is now
-    :data:`repro.explore.context.DEFAULT_KERNEL_MEMO`, configurable via
-    ``REPRO_EVAL_MEMO_KERNELS``).  Kept so kernel construction is shared
-    even when artifact memoization is disabled (``context=False``),
-    matching the seed evaluator's behaviour.
-    """
-    return process_context().kernel_and_groups(kernel_name, kernel_json)
-
-
 def design_for(
     query: DesignQuery,
-    batch: bool = True,
-    context: "bool | EvalContext | None" = True,
+    context: "EvalContext | None" = None,
     stages: "dict[str, float] | None" = None,
-    trace_engine: str = "array",
-    ladder: bool = True,
+    reference: bool = False,
 ) -> "tuple[HardwareDesign, Device]":
     """The fully evaluated design of one query (raises on domain errors).
 
     The single authoritative query -> pipeline translation; everything
     that evaluates a query (records, pattern-class reports) goes through
     it so new pipeline parameters cannot silently diverge between
-    callers.
+    callers.  ``context`` defaults to the process-global one.
 
     ``stages``, when given, accumulates per-stage wall seconds under the
     keys ``kernel`` / ``alloc`` / ``dfg_schedule`` / ``trace`` /
@@ -94,14 +76,15 @@ def design_for(
     what keeps ``--profile`` totals invariant under ``--jobs`` — and
     survives domain errors, so failed records carry their trace
     attribution too.
-    ``trace_engine`` selects the residency-simulator implementation
-    (``"array"`` — the vectorized default — or ``"reference"``, the
-    oracle; records are bit-identical either way, so the cache is
-    shared between them like it is across ``batch``), and ``ladder``
-    the budget-ladder fast path (also bit-identical; CLI escape hatch
-    ``--no-budget-ladder``).
+
+    With ``reference`` set, the query evaluates through the oracle (see
+    the module docstring): the kernel is built afresh and no context is
+    read or written.
     """
-    ctx = resolve_context(context)
+    if reference:
+        ctx = None
+    else:
+        ctx = context if context is not None else process_context()
     started = time.perf_counter()
     trace_before = trace_engine_seconds()
     try:
@@ -110,7 +93,8 @@ def design_for(
                 query.kernel, query.kernel_json
             )
         else:
-            kernel, groups = _kernel_and_groups(query.kernel, query.kernel_json)
+            kernel = query.build_kernel()
+            groups = build_groups(kernel)
         device = query.build_device()
         mark = charge_stage(stages, "kernel", started)
         allocator = allocator_by_name(query.allocator)
@@ -122,9 +106,7 @@ def design_for(
                 model=query.latency.to_model(),
                 ram_ports=query.ram_ports or device.bram_ports,
                 overhead_per_iteration=query.overhead,
-                batch=batch,
-                trace_engine=trace_engine,
-                ladder=ladder,
+                reference=reference,
             )
         allocation = allocator.allocate(
             kernel, query.budget, groups, context=ctx
@@ -138,11 +120,9 @@ def design_for(
             model=query.latency.to_model(),
             ram_ports=query.ram_ports or None,
             overhead_per_iteration=query.overhead,
-            batch=batch,
             context=ctx,
             stages=stages,
-            trace_engine=trace_engine,
-            ladder=ladder,
+            reference=reference,
         )
     finally:
         fold_trace_stage(stages, trace_before)
@@ -151,10 +131,8 @@ def design_for(
 
 def evaluate_query(
     query: DesignQuery,
-    batch: bool = True,
-    context: "bool | EvalContext | None" = True,
-    trace_engine: str = "array",
-    ladder: bool = True,
+    context: "EvalContext | None" = None,
+    reference: bool = False,
 ) -> DesignRecord:
     """Run the full pipeline for one design point.
 
@@ -164,8 +142,7 @@ def evaluate_query(
     stages: dict[str, float] = {}
     try:
         design, device = design_for(
-            query, batch=batch, context=context, stages=stages,
-            trace_engine=trace_engine, ladder=ladder,
+            query, context=context, stages=stages, reference=reference
         )
     except ReproError as exc:
         return replace(DesignRecord.failed(query, exc), stages=stages)
@@ -174,11 +151,7 @@ def evaluate_query(
 
 
 def evaluate_query_safe(
-    query: DesignQuery,
-    batch: bool = True,
-    context: "bool | EvalContext | None" = True,
-    trace_engine: str = "array",
-    ladder: bool = True,
+    query: DesignQuery, context: "EvalContext | None" = None
 ) -> DesignRecord:
     """Like :func:`evaluate_query`, but crash-proof and timed.
 
@@ -191,10 +164,7 @@ def evaluate_query_safe(
     """
     started = time.perf_counter()
     try:
-        record = evaluate_query(
-            query, batch=batch, context=context, trace_engine=trace_engine,
-            ladder=ladder,
-        )
+        record = evaluate_query(query, context=context)
     except Exception as exc:  # noqa: BLE001 — the whole point
         record = DesignRecord.crashed(query, exc)
     return replace(record, seconds=time.perf_counter() - started)

@@ -370,9 +370,9 @@ class DesignRecord:
     #: up on it.  Quarantined records are never cached, so a resume
     #: retries the point.
     quarantined: bool = False
-    #: How many evaluation attempts this record took (None = untracked,
-    #: i.e. an unsupervised run).  Bookkeeping like ``seconds``:
-    #: excluded from equality and from :meth:`to_dict`.
+    #: How many evaluation attempts this record took (None = the first
+    #: attempt succeeded, or no executor ran it).  Bookkeeping like
+    #: ``seconds``: excluded from equality and from :meth:`to_dict`.
     attempts: "int | None" = field(default=None, compare=False)
 
     @property

@@ -1,9 +1,9 @@
 """Supervised sweep execution: deadlines, retries, quarantine, recovery.
 
-The :class:`SupervisedDriver` is the hardened drive loop behind
-:class:`~repro.explore.executor.Executor` (on by default;
-``supervise=False`` / ``--no-supervise`` restores the bare loop).  It
-adds four behaviours the bare pool loop cannot provide:
+The :class:`SupervisedDriver` is the one drive loop behind
+:class:`~repro.explore.executor.Executor`: inline at ``jobs=1``, through
+the work-stealing lease queue at ``jobs>1``.  Beyond evaluating points
+it provides four behaviours:
 
 * **per-point deadlines** — ``timeout_factor x`` the
   :class:`~repro.explore.schedule.CostModel` prediction, clamped to
@@ -168,41 +168,31 @@ def _worker_init(plan: "faults_mod.FaultPlan | None") -> None:
 
 
 def _evaluate_one(
-    query: DesignQuery, attempt: int, batch: bool,
-    context: "bool | EvalContext", trace_engine: str, ladder: bool,
+    query: DesignQuery, attempt: int, context: "EvalContext | None" = None
 ) -> DesignRecord:
     """Evaluate one point, fault-aware; the supervised work unit."""
     from repro.explore.evaluate import evaluate_query_safe
 
     record = faults_mod.apply_fault(query, attempt)
     if record is None:
-        record = evaluate_query_safe(
-            query, batch=batch, context=context, trace_engine=trace_engine,
-            ladder=ladder,
-        )
+        record = evaluate_query_safe(query, context=context)
     return record
 
 
-def _evaluate_batch(
-    items: "list[tuple[DesignQuery, int]]", batch: bool, context: bool,
-    trace_engine: str, ladder: bool,
+def _evaluate_lease(
+    items: "list[tuple[DesignQuery, int]]",
 ) -> "tuple[list[DesignRecord], tuple]":
-    """Worker task: one supervised chunk/lease, one IPC round trip.
+    """Worker task: one lease, one IPC round trip.
 
     Returns the records plus the worker's *resident kernel keys* — the
-    artifacts its process-global context holds after this batch.  The
+    artifacts its process-global context holds after this lease.  The
     dispatcher uses them as the affinity fingerprint of whichever worker
-    frees up next; they carry no result data, so the static path simply
-    ignores them.
+    frees up next; they carry no result data.
     """
     from repro.explore.context import process_context
 
-    records = [
-        _evaluate_one(query, attempt, batch, context, trace_engine, ladder)
-        for query, attempt in items
-    ]
-    resident = process_context().resident_kernels() if context else ()
-    return records, resident
+    records = [_evaluate_one(query, attempt) for query, attempt in items]
+    return records, process_context().resident_kernels()
 
 
 @dataclass
@@ -226,10 +216,7 @@ class SupervisedDriver:
     def __init__(
         self,
         jobs: int,
-        batch: bool,
-        context: "bool | EvalContext",
-        trace_engine: str,
-        ladder: bool,
+        context: "EvalContext | None",
         retry: RetryPolicy,
         deadlines: DeadlinePolicy,
         plan: "faults_mod.FaultPlan | None" = None,
@@ -241,10 +228,7 @@ class SupervisedDriver:
                 f"pool_break_limit must be >= 1, got {pool_break_limit}"
             )
         self.jobs = jobs
-        self.batch = batch
         self.context = context
-        self.trace_engine = trace_engine
-        self.ladder = ladder
         self.retry = retry
         self.deadlines = deadlines
         self.plan = plan
@@ -304,8 +288,7 @@ class SupervisedDriver:
             final: "DesignRecord | None" = None
             try:
                 record = _evaluate_one(
-                    query, failures.get(index, 0) + 1, self.batch,
-                    self.context, self.trace_engine, self.ladder,
+                    query, failures.get(index, 0) + 1, self.context
                 )
             except faults_mod.WorkerLost:
                 outcome, final = self._attribute(
@@ -342,18 +325,14 @@ class SupervisedDriver:
 
     def _submit(self, pool: ProcessPoolExecutor, task: _Task) -> Future:
         return pool.submit(
-            _evaluate_batch,
+            _evaluate_lease,
             [(query, attempt) for _, query, attempt in task.items],
-            self.batch,
-            bool(self.context),
-            self.trace_engine,
-            self.ladder,
         )
 
     def _point_deadline(self, query: DesignQuery) -> float:
         return self.deadlines.deadline(self.estimate(query))
 
-    def _chunk_deadline(self, queries: "list[DesignQuery]") -> float:
+    def _lease_deadline(self, queries: "list[DesignQuery]") -> float:
         return sum(self._point_deadline(query) for query in queries)
 
     def _poll_timeout(self, inflight: "dict[Future, _Task]") -> float:
@@ -451,14 +430,11 @@ class SupervisedDriver:
         return lease
 
     def _drive_pool(
-        self,
-        pending: "list[tuple[int, DesignQuery]]",
-        chunks: "list[list[tuple[int, DesignQuery]]]",
-        leases: "list | None" = None,
+        self, leases: list
     ) -> "Iterator[tuple[int, DesignRecord]]":
         failures: dict[int, int] = {}
         queue: "deque[tuple[int, DesignQuery, float]]" = deque()
-        lease_queue: list = list(leases) if leases is not None else []
+        lease_queue: list = list(leases)
         next_seq = max((lease.seq for lease in lease_queue), default=-1) + 1
         prefs: "deque[frozenset]" = deque()
         inflight: dict[Future, _Task] = {}
@@ -466,15 +442,6 @@ class SupervisedDriver:
         pool: "ProcessPoolExecutor | None" = self._make_pool()
         clean = False
         try:
-            if leases is None:
-                for chunk in chunks:
-                    task = _Task(
-                        items=[
-                            (i, q, failures.get(i, 0) + 1) for i, q in chunk
-                        ],
-                        deadline=self._chunk_deadline([q for _, q in chunk]),
-                    )
-                    inflight[self._submit(pool, task)] = task
             while inflight or queue or lease_queue:
                 if pool is None:
                     # Degraded: no more pools — finish what's left inline
@@ -533,7 +500,7 @@ class SupervisedDriver:
                             (i, q, failures.get(i, 0) + 1)
                             for i, q in lease.items
                         ],
-                        deadline=self._chunk_deadline(
+                        deadline=self._lease_deadline(
                             [q for _, q in lease.items]
                         ),
                     )
@@ -575,12 +542,11 @@ class SupervisedDriver:
                         # (attribution needs the full in-flight picture).
                         inflight[future] = task
                         continue
-                    if leases is not None:
-                        # The freed worker very likely picks up the next
-                        # submission; remember what it has resident.
-                        prefs.append(frozenset(resident))
-                        while len(prefs) > self.jobs:
-                            prefs.popleft()
+                    # The freed worker very likely picks up the next
+                    # submission; remember what it has resident.
+                    prefs.append(frozenset(resident))
+                    while len(prefs) > self.jobs:
+                        prefs.popleft()
                     for (index, query, _), record in zip(task.items, records):
                         if record.crash:
                             outcome, final = self._attribute(
@@ -650,25 +616,21 @@ class SupervisedDriver:
     def drive(
         self,
         pending: "list[tuple[int, DesignQuery]]",
-        chunks: "list[list[tuple[int, DesignQuery]]] | None" = None,
         leases: "list | None" = None,
     ) -> "Iterator[tuple[int, DesignRecord]]":
         """Yield ``(index, record)`` for every pending point.
 
-        With ``leases`` (a :func:`~repro.explore.schedule.plan_leases`
-        queue) the pool runs the work-stealing dispatcher: leases feed
-        on demand as workers free up, with soft kernel affinity and
-        steal-splitting.  With ``chunks`` the classic plan-then-submit
-        static path runs unchanged.  Either way results are keyed by
-        point index, so the two modes assemble bit-identical
-        ResultSets.
+        ``jobs=1`` evaluates inline in query order.  Otherwise the pool
+        runs the work-stealing dispatcher over ``leases`` (required: the
+        :func:`~repro.explore.schedule.plan_leases` queue covering
+        ``pending``): leases feed on demand as workers free up, with
+        soft kernel affinity and steal-splitting.  Results are keyed by
+        point index, so lease shape never changes the assembled
+        ResultSet.
         """
         if not pending:
             return
         if self.jobs == 1:
             yield from self._drive_inline(pending)
             return
-        if leases is not None:
-            yield from self._drive_pool(pending, [], leases=leases)
-            return
-        yield from self._drive_pool(pending, chunks or [pending])
+        yield from self._drive_pool(leases)

@@ -15,7 +15,7 @@ Architecture
   hash, so repeated runs and multi-check runs parse each file once);
 * :class:`LintContext` — the shared analysis state: the module set (via
   :class:`~repro.explore.versions.VersionRegistry`), the evaluation
-  dependency cone, the discovered knob set, and dispatch-map metadata;
+  dependency cone, the evaluation knobs, and dispatch-map metadata;
 * :func:`register_check` — the check registry; a check is a callable
   ``(context) -> Iterable[Finding]`` with a ``name``/``description``;
 * suppression comments — ``# repro-lint: ok <check>[:<code>] -- why``
@@ -56,8 +56,7 @@ __all__ = [
     "local_assignments",
     "name_closure",
     "import_bindings",
-    "FALLBACK_KNOBS",
-    "KNOB_CHAIN",
+    "KNOBS",
 ]
 
 
@@ -299,54 +298,13 @@ def resolve_call_name(
     return f"{head}.{rest}" if rest else head
 
 
-# -- knob discovery -------------------------------------------------------------
+# -- evaluation knobs ---------------------------------------------------------
 
-#: The evaluation-pipeline functions whose threaded flag parameters
-#: define the knob set (see :func:`LintContext.knobs`).
-KNOB_CHAIN = ("evaluate_query", "design_for", "build_design", "count_cycles")
-
-#: Knob names assumed when the analyzed tree has no recognizable chain
-#: (fixture corpora, foreign packages).
-FALLBACK_KNOBS = frozenset({"batch", "context", "trace_engine", "engine", "ladder"})
-
-
-def _discover_knobs(units: "dict[str, ModuleUnit]") -> frozenset[str]:
-    """Evaluation knobs = bool/str-defaulted parameters threaded through
-    at least two functions of the ``evaluate_query -> design_for ->
-    build_design -> count_cycles`` chain.
-
-    The two-function floor keeps one-off parameters (``label`` strings,
-    local toggles) out; bool/str keeps data parameters (budgets, ports,
-    overhead ints, ``None``-defaulted artifacts) out.  ``engine`` is
-    aliased in whenever ``trace_engine`` is discovered — the coverage
-    layer threads the same knob under the shorter name.
-    """
-    counts: dict[str, int] = {}
-    for unit in units.values():
-        for node in ast.walk(unit.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name not in KNOB_CHAIN:
-                continue
-            args = node.args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults):]
-            pairs = list(zip(defaulted, args.defaults))
-            pairs += [
-                (a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                if d is not None
-            ]
-            for arg, default in pairs:
-                if isinstance(default, ast.Constant) and type(
-                    default.value
-                ) in (bool, str):
-                    counts[arg.arg] = counts.get(arg.arg, 0) + 1
-    knobs = {name for name, count in counts.items() if count >= 2}
-    if not knobs:
-        return FALLBACK_KNOBS
-    if "trace_engine" in knobs:
-        knobs.add("engine")
-    return frozenset(knobs)
+#: The evaluation-knob parameter names (see :func:`LintContext.knobs`):
+#: the pipeline has one production path and one oracle switch, so the
+#: reference flag is the only parameter that selects how a value is
+#: computed.
+KNOBS = frozenset({"reference"})
 
 
 # -- dispatch-map discovery -----------------------------------------------------
@@ -425,7 +383,6 @@ class LintContext:
         self.entry = entry if entry is not None else f"{package}.explore.evaluate"
         self._units: "dict[str, ModuleUnit] | None" = None
         self._cone: "frozenset[str] | None" = None
-        self._knobs: "frozenset[str] | None" = None
         self._dispatch: "tuple[DispatchMap, ...] | None" = None
 
     def units(self) -> "dict[str, ModuleUnit]":
@@ -460,10 +417,8 @@ class LintContext:
                 yield unit
 
     def knobs(self) -> frozenset[str]:
-        """The discovered evaluation-knob parameter names."""
-        if self._knobs is None:
-            self._knobs = _discover_knobs(self.units())
-        return self._knobs
+        """The evaluation-knob parameter names (:data:`KNOBS`)."""
+        return KNOBS
 
     def dispatch_maps(self) -> tuple[DispatchMap, ...]:
         if self._dispatch is None:

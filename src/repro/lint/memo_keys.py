@@ -2,14 +2,13 @@
 
 The invariant (violated by the reverted PR 6 coverage-memo bug, where
 ``ladder``/``engine`` were missing from the coverage key): a function
-that receives evaluation knobs (``batch`` / ``trace_engine`` /
-``ladder`` / ``context``-style flags, discovered from the
-``evaluate_query -> design_for -> build_design -> count_cycles`` chain)
-and reads/writes a memo mapping must thread **every** knob into the
-lookup — either into the key expression itself, or into the expression
-that selects the mapping (the ``EvalContext`` cycle-report memo keys
-its *bundle* by the knobs instead of the tuple), or into a second-level
-mapping keyed by the knob (the cost model's per-engine sample store).
+that receives an evaluation knob (:data:`~repro.lint.framework.KNOBS`:
+the ``reference`` oracle switch) and reads/writes a memo mapping must
+thread **every** knob into the lookup — either into the key expression
+itself, or into the expression that selects the mapping, or into a
+second-level mapping keyed by the knob.  A memo filled on the
+production path must never answer the oracle (or the other way round),
+or the differential tests would compare a path with itself.
 
 Detection
 ---------

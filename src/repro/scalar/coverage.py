@@ -165,9 +165,12 @@ class GroupCoverage:
     of once per budget), and :meth:`ram_access_ladder` answers a whole
     budget axis of pinned coverage with one rank-histogram +
     prefix-sum pass.  ``ladder=False`` keeps the per-budget evaluation
-    as the differential oracle (``repro explore --no-budget-ladder``).
+    as the differential oracle.
     All ``batch`` × ``engine`` × ``ladder`` combinations are
-    bit-identical, pinned by the fuzz suite.
+    bit-identical, pinned by the fuzz suite.  The pipeline uses only two
+    of them, through :func:`coverage_for`: every fast path (production)
+    or none (the ``reference`` oracle); the other combinations serve the
+    unit-level oracle tests.
 
     Results are memoized per ``(registers, anchor)`` *and* per the
     canonical key they reduce to (``covered`` for windows,
@@ -572,14 +575,19 @@ class GroupCoverage:
 def coverage_for(
     kernel: Kernel,
     groups: "tuple[RefGroup, ...]",
-    batch: bool = True,
-    engine: str = "array",
-    ladder: bool = True,
+    reference: bool = False,
 ) -> dict[str, GroupCoverage]:
-    """Coverage computers for every group, keyed by group name."""
-    return {
-        g.name: GroupCoverage(
-            kernel, g, batch=batch, engine=engine, ladder=ladder
-        )
-        for g in groups
-    }
+    """Coverage computers for every group, keyed by group name.
+
+    The production computers run every fast path (batched, array trace
+    engine, budget ladder); with ``reference`` set it builds the oracle's —
+    unbatched, reference engine, per budget.
+    """
+    if reference:
+        return {
+            g.name: GroupCoverage(
+                kernel, g, batch=False, engine="reference", ladder=False
+            )
+            for g in groups
+        }
+    return {g.name: GroupCoverage(kernel, g) for g in groups}

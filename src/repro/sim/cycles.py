@@ -9,10 +9,10 @@ e.g. with ``d`` covered for ``k < 12``, iterations split into the
 Iterations with identical patterns cost the same, so the counter
 classifies the whole iteration space into patterns, schedules each
 distinct pattern once, and takes a weighted sum — exact, and fast even
-for the million-iteration kernels.  With an evaluation context the
-classification runs over the kernel's shared iteration-atom partition
-(:mod:`repro.sim.patterns`); without one it runs over the full grid,
-the reference both are tested against.
+for the million-iteration kernels.  The classification runs over the
+kernel's iteration-atom partition (:mod:`repro.sim.patterns`, shared
+through an evaluation context when there is one); the reference oracle
+(``reference`` set) classifies the full grid.
 
 Total cycles also include:
 
@@ -37,7 +37,7 @@ from repro.dfg.graph import DataFlowGraph
 from repro.dfg.latency import LatencyModel
 from repro.errors import SimulationError
 from repro.ir.kernel import Kernel
-from repro.scalar.coverage import GroupCoverage
+from repro.scalar.coverage import GroupCoverage, coverage_for
 from repro.sim.patterns import PatternClassifier, node_channels, pattern_maps
 from repro.sim.scheduler import schedule_iteration
 
@@ -96,34 +96,33 @@ def count_cycles(
     overhead_per_iteration: int = 0,
     dfg: DataFlowGraph | None = None,
     anchors: "dict[str, str] | None" = None,
-    batch: bool = True,
     coverages: "dict[str, GroupCoverage] | None" = None,
     context: "EvalContext | None" = None,
-    trace_engine: str = "array",
-    ladder: bool = True,
+    reference: bool = False,
 ) -> CycleReport:
     """Count execution cycles of ``kernel`` under ``allocation``.
 
     ``anchors`` optionally overrides the pinned-coverage anchor per group
     (see :meth:`GroupCoverage.result`); defaults to ``"low"``.
 
-    ``batch`` selects the steady-state/boundary batched coverage paths
-    (bit-identical to the reference paths; see
-    :class:`~repro.scalar.coverage.GroupCoverage`), ``trace_engine``
-    the residency-simulator implementation behind them (``"array"`` —
-    the vectorized default — or ``"reference"``, the oracle; also
-    bit-identical), ``ladder`` the budget-ladder fast path (window
-    traces of every budget share one capacity-independent plane; also
-    bit-identical), and ``coverages`` optionally shares pre-built
-    coverage computers across repeated counts of the same design point
-    (the pipeline's anchor search).
+    ``coverages`` optionally shares pre-built coverage computers across
+    repeated counts of the same design point (the pipeline's anchor
+    search).  ``context`` (an
+    :class:`~repro.explore.context.EvalContext`) memoizes each distinct
+    hit/miss pattern's scheduled makespan, the iteration-atom partition
+    and whole reports across the counts of a sweep — the grid points of
+    one kernel mostly re-encounter the same patterns, so the DFG is
+    re-scheduled only for genuinely new ones.  Without a context the
+    count takes the same production path on artifacts of its own.
 
-    ``context`` (an :class:`~repro.explore.context.EvalContext`) memoizes
-    each distinct hit/miss pattern's scheduled makespan across the counts
-    of a sweep — the grid points of one kernel mostly re-encounter the
-    same patterns, so the DFG is re-scheduled only for genuinely new
-    ones.  Results are bit-identical with and without it.
+    ``reference`` selects the oracle every fast path is checked
+    against: reference coverage computers
+    (:func:`~repro.scalar.coverage.coverage_for`), full-grid pattern
+    classification and a plain scheduler.  It never touches
+    ``context``.  Results are bit-identical either way.
     """
+    if reference:
+        context = None
     if dfg is None:
         dfg = (
             context.dfg(kernel, groups)
@@ -134,34 +133,24 @@ def count_cycles(
     memo_key = None
     if context is not None:
         if coverages is None:
-            coverages = context.coverages(
-                kernel, groups, batch=batch, trace_engine=trace_engine,
-                ladder=ladder,
-            )
-        # The full parameterization of this count.  ``batch``,
-        # ``trace_engine`` and ``ladder`` are part of the key even
-        # though all paths are bit-identical by construction —
-        # excluding them would let a memoized batched/array/ladder
-        # report answer the reference differential oracle and mask a
-        # divergence the fuzz suite exists to catch.  The context
+            coverages = context.coverages(kernel, groups)
+        # The full parameterization of this count.  The context
         # additionally declines the memo when ``dfg``/``coverages`` are
         # not its canonical artifacts for this kernel.
         memo_key = (
             context.model_fingerprint(model),
             ram_ports,
             overhead_per_iteration,
-            batch,
-            trace_engine,
-            ladder,
             tuple((g.name, allocation.registers_for(g.name)) for g in groups),
             tuple(sorted(anchors.items())),
         )
         memoized = context.get_cycle_report(
-            kernel, groups, memo_key, dfg=dfg, coverages=coverages,
-            batch=batch, trace_engine=trace_engine, ladder=ladder,
+            kernel, groups, memo_key, dfg=dfg, coverages=coverages
         )
         if memoized is not None:
             return memoized
+    elif coverages is None:
+        coverages = coverage_for(kernel, groups, reference=reference)
     shape = kernel.nest.trip_counts()
 
     # One bool "channel" per (group, access kind) that can miss.
@@ -169,12 +158,11 @@ def count_cycles(
     writebacks = 0
     ram_accesses: dict[str, int] = {}
     for group in groups:
-        if coverages is not None and group.name in coverages:
-            coverage = coverages[group.name]
-        else:
-            coverage = GroupCoverage(
-                kernel, group, batch=batch, engine=trace_engine, ladder=ladder
-            )
+        coverage = coverages.get(group.name)
+        if coverage is None:
+            coverage = coverage_for(
+                kernel, (group,), reference=reference
+            )[group.name]
         result = coverage.result(
             allocation.registers_for(group.name),
             anchor=anchors.get(group.name, "low"),
@@ -196,6 +184,8 @@ def count_cycles(
         def scheduler(hit: "dict[str, bool]") -> "tuple[int, int]":
             schedule = schedule_iteration(dfg, model, hit, ram_ports)
             return schedule.makespan, schedule.memory_cycles
+    if classifier is None and not reference:
+        classifier = PatternClassifier(shape, dfg)
 
     in_loop, memory_cycles, pattern_rows = classify_patterns(
         shape, channels, dfg, overhead_per_iteration, scheduler,
@@ -212,8 +202,7 @@ def count_cycles(
     )
     if memo_key is not None:
         context.put_cycle_report(
-            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages,
-            batch=batch, trace_engine=trace_engine, ladder=ladder,
+            kernel, groups, memo_key, report, dfg=dfg, coverages=coverages
         )
     return report
 
@@ -245,9 +234,9 @@ def classify_patterns(
     :meth:`~repro.explore.context.EvalContext.pattern_classifier`) the
     histogram is built over the shared iteration-atom partition,
     weighted by atom size.  Without one, every iteration of the full
-    grid is classified: that path is the reference oracle, reached when
-    no evaluation context exists, and the differential tests pin the
-    two to identical results.
+    grid is classified: that path is the reference oracle
+    (:func:`count_cycles` with ``reference`` set), and the differential tests
+    pin the two to identical results.
     """
     if len(channels) > 20:
         raise SimulationError(

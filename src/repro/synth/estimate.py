@@ -19,7 +19,11 @@ from repro.dfg.nodes import OpNode, ReadNode
 from repro.hw.binding import bind_arrays
 from repro.hw.device import Device, XCV1000
 from repro.ir.kernel import Kernel
-from repro.scalar.coverage import GroupCoverage, trace_engine_seconds
+from repro.scalar.coverage import (
+    GroupCoverage,
+    coverage_for,
+    trace_engine_seconds,
+)
 from repro.sim.cycles import count_cycles
 from repro.synth.area import estimate_area
 from repro.synth.design import HardwareDesign
@@ -115,13 +119,11 @@ def build_design(
     model: LatencyModel | None = None,
     ram_ports: int | None = None,
     overhead_per_iteration: int = 1,
-    batch: bool = True,
     dfg: "DataFlowGraph | None" = None,
     coverages: "dict[str, GroupCoverage] | None" = None,
     context: "EvalContext | None" = None,
     stages: "dict[str, float] | None" = None,
-    trace_engine: str = "array",
-    ladder: bool = True,
+    reference: bool = False,
 ) -> HardwareDesign:
     """Evaluate one (kernel, allocation) design point.
 
@@ -132,21 +134,15 @@ def build_design(
     The Figure 2(c) benchmarks override ``model`` with
     :meth:`LatencyModel.tmem` and zero overhead.
 
-    ``batch`` selects the steady-state/boundary batched evaluation paths
-    (the default); results are bit-identical either way — ``batch=False``
-    is the reference path the fuzz suite differences against.
-
     ``dfg``/``coverages`` accept prebuilt artifacts, and ``context`` (an
     :class:`~repro.explore.context.EvalContext`) supplies them — plus
     per-pattern schedule memoization inside the cycle counter — when the
     caller does not; all three leave results bit-identical.
-    ``trace_engine`` selects the residency-simulator implementation
-    (``"array"``, the vectorized default, or ``"reference"``, the
-    oracle; bit-identical either way), and ``ladder`` the budget-ladder
-    fast path (window traces of every register budget share one
-    capacity-independent plane; also bit-identical — ``ladder=False``
-    is the ``--no-budget-ladder`` oracle).  ``stages`` optionally
-    accumulates the ``--profile`` wall-time breakdown; the evaluator
+    With ``reference`` set, the design evaluates through the oracle
+    instead (reference coverage computers and cycle counting, no
+    context; see :func:`~repro.sim.cycles.count_cycles`), again
+    bit-identically.  ``stages`` optionally accumulates the
+    ``--profile`` wall-time breakdown; the evaluator
     (:func:`repro.explore.evaluate.design_for`) splits the residency
     share out into a distinct ``trace`` stage via
     :func:`fold_trace_stage`.
@@ -155,6 +151,8 @@ def build_design(
     groups = groups if groups is not None else build_groups(kernel)
     model = model or LatencyModel.realistic(ram_latency=2)
     ram_ports = ram_ports if ram_ports is not None else device.bram_ports
+    if reference:
+        context = None
     if dfg is None:
         dfg = (
             context.dfg(kernel, groups)
@@ -163,18 +161,11 @@ def build_design(
         )
 
     if coverages is None:
-        if context is not None:
-            coverages = context.coverages(
-                kernel, groups, batch=batch, trace_engine=trace_engine,
-                ladder=ladder,
-            )
-        else:
-            coverages = {
-                g.name: GroupCoverage(
-                    kernel, g, batch=batch, engine=trace_engine, ladder=ladder
-                )
-                for g in groups
-            }
+        coverages = (
+            context.coverages(kernel, groups)
+            if context is not None
+            else coverage_for(kernel, groups, reference=reference)
+        )
     storage_class = {
         g.name: classify_operand_storage(
             g, coverages[g.name], allocation.registers_for(g.name)
@@ -195,10 +186,8 @@ def build_design(
         dfg,
         coverages,
         storage_class,
-        batch,
         context,
-        trace_engine,
-        ladder,
+        reference,
     )
     mark = charge_stage(stages, "cycles", mark)
 
@@ -240,10 +229,8 @@ def count_with_best_anchors(
     dfg,
     coverages,
     storage_class,
-    batch=True,
     context=None,
-    trace_engine="array",
-    ladder=True,
+    reference=False,
 ):
     """Coverage-placement pass: choose pinned anchors minimizing cycles.
 
@@ -282,11 +269,9 @@ def count_with_best_anchors(
             overhead_per_iteration=overhead_per_iteration,
             dfg=dfg,
             anchors=anchors,
-            batch=batch,
             coverages=coverages,
             context=context,
-            trace_engine=trace_engine,
-            ladder=ladder,
+            reference=reference,
         )
         if best is None or report.total_cycles < best.total_cycles:
             best = report

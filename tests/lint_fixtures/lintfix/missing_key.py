@@ -1,17 +1,17 @@
 """The reverted-PR-6 bug, distilled: a coverage memo whose key drops
-``ladder``.  Must produce exactly one ``memo-keys:missing-knob``
-finding (for ``ladder`` — ``batch``/``engine`` are in the key)."""
+the evaluation knob, so a production entry would answer the oracle.
+Must produce exactly one ``memo-keys:missing-knob`` (``reference``)."""
 
 
 class CoverageMemo:
     def __init__(self):
         self._coverages = {}
 
-    def coverages(self, kernel, batch=True, engine="array", ladder=True):
-        key = (kernel, batch, engine)
+    def coverages(self, kernel, batch=True, reference=False):
+        key = (kernel, batch)
         found = self._coverages.get(key)
         if found is not None:
             return found
-        value = ("coverage", kernel, batch, engine, ladder)
+        value = ("coverage", kernel, batch, reference)
         self._coverages[key] = value
         return value

@@ -1,17 +1,18 @@
 """Acceptance pins: budget-ladder evaluation is bit-identical everywhere.
 
-Mirrors ``test_trace_engine.py`` for the ``ladder`` axis:
-``verify_ladder_equivalence`` sweeps registered kernel × allocator ×
-budget points (at every ``batch`` × ``trace_engine`` combination) and
-must come back empty; the miss-count ladders
+Mirrors ``test_trace_engine.py`` for the budget-ladder layer: coverage
+computers with the ladder agree with per-budget evaluation on every
+registered kernel (at every internal ``batch`` × ``engine`` selector
+combination); the miss-count ladders
 (:func:`~repro.sim.residency.lru_miss_counts`,
 :func:`~repro.sim.residency.opt_miss_ladder`) and the capacity-shared
 trace plane (:class:`~repro.sim.residency.OptTraceLadder`) are pinned
-white-box against brute-force per-capacity simulation; the executor and
-the CLI expose the switch (``--no-budget-ladder``) and agree across it;
-and the ``repro perf --compare`` satellite fixes (missing-grid
-ratio-only fallback, new-only info rows) gate the way their contracts
-say.
+white-box against brute-force per-capacity simulation; a budget column
+swept through the executor agrees with the reference oracle, and the
+retired ``--no-budget-ladder`` flag is rejected; the ``repro perf
+--compare`` satellite fixes (missing-grid ratio-only fallback, new-only
+info rows) gate the way their contracts say; and the cost model reads
+documents whose rows were keyed by trace engine.
 """
 
 import math
@@ -27,16 +28,18 @@ from repro.bench.perf import compare_reports, render_compare
 from repro.cli import main
 from repro.core.pipeline import _ALLOCATORS
 from repro.errors import AnalysisError, SimulationError
+from repro.analysis.groups import build_groups
 from repro.explore import (
     DesignQuery,
+    EvalContext,
     ResultCache,
-    compare_ladder,
+    compare_reference,
+    evaluate_query,
+    reset_process_context,
     run_queries,
-    verify_ladder_equivalence,
 )
-from repro.explore.evaluate import evaluate_query
 from repro.explore.schedule import CostModel
-from repro.kernels import KERNEL_FACTORIES
+from repro.kernels import KERNEL_FACTORIES, get_kernel
 from repro.scalar.coverage import GroupCoverage
 from repro.sim.residency import (
     OptTraceLadder,
@@ -60,22 +63,42 @@ GRID = [
 # -- registered-grid bit-identity ---------------------------------------------
 
 
+def _assert_ladder_agrees(kernel_name, **selectors):
+    """Ladder vs per-budget coverage of every group at every budget."""
+    kernel = get_kernel(kernel_name)
+    for group in build_groups(kernel):
+        fast = GroupCoverage(kernel, group, ladder=True, **selectors)
+        slow = GroupCoverage(kernel, group, ladder=False, **selectors)
+        values = sorted({1, *BUDGETS, group.full_registers})
+        for anchor in ("low", "high"):
+            ladder = fast.ram_access_ladder(values, anchor=anchor)
+            for registers in values:
+                a = fast.result(registers, anchor=anchor)
+                b = slow.result(registers, anchor=anchor)
+                label = f"{kernel_name}/{group.name} r={registers} {anchor}"
+                assert np.array_equal(a.read_miss, b.read_miss), label
+                assert np.array_equal(a.write_miss, b.write_miss), label
+                assert a.writeback_stores == b.writeback_stores, label
+                assert ladder[registers] == b.total_ram_accesses, label
+
+
 def test_every_registered_point_is_bit_identical():
-    mismatches = verify_ladder_equivalence(GRID)
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
+    for kernel_name in sorted(KERNEL_FACTORIES):
+        _assert_ladder_agrees(kernel_name)
 
 
 @pytest.mark.parametrize("batch", (True, False))
 @pytest.mark.parametrize("engine", ("array", "reference"))
 def test_ladder_composes_with_batch_and_engine(batch, engine):
-    mismatches = verify_ladder_equivalence(
-        GRID[::7], batch=batch, trace_engine=engine
-    )
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
+    for kernel_name in ("fir", "pat", "mat"):
+        _assert_ladder_agrees(kernel_name, batch=batch, engine=engine)
 
 
 def test_compare_ladder_reports_fields():
-    assert compare_ladder(GRID[0]) == []
+    # KS-RA's DP answers a whole budget axis from one table.
+    assert compare_reference(
+        DesignQuery(kernel="pat", allocator="KS-RA", budget=64)
+    ) == []
 
 
 # -- miss-count ladders: white-box histogram / suffix-sum pins ----------------
@@ -230,12 +253,18 @@ def test_fuzz_coverage_ladder_masks_equal(seed):
 
 
 def test_executor_ladder_flag_changes_nothing(tmp_path):
-    queries = GRID[:8]
-    fast = run_queries(queries, cache=tmp_path / "a", ladder=True)
-    slow = run_queries(queries, cache=tmp_path / "b", ladder=False)
-    assert list(fast) == list(slow)
-    # Bit-identical records mean the cache is shared across the switch.
-    resumed = run_queries(queries, cache=tmp_path / "b", ladder=True)
+    """A whole budget column shares one ladder plane per group; every
+    point of it must still match the per-budget oracle."""
+    queries = [
+        DesignQuery(kernel="pat", allocator="CPA-RA", budget=budget)
+        for budget in range(4, 36, 4)
+    ]
+    cache = f"sqlite:{tmp_path / 'cache.db'}"
+    swept = run_queries(queries, cache=cache, context=EvalContext())
+    assert list(swept) == [
+        evaluate_query(q, reference=True) for q in queries
+    ]
+    resumed = run_queries(queries, cache=cache)
     assert resumed.stats.cache_hits == len(queries)
 
 
@@ -245,9 +274,10 @@ def test_cli_no_budget_ladder_smoke(capsys):
         "--budgets", "16", "--format", "csv",
     ]
     assert main(argv) == 0
-    fast = capsys.readouterr().out
-    assert main(argv + ["--no-budget-ladder"]) == 0
-    assert capsys.readouterr().out == fast
+    assert capsys.readouterr().out.startswith("kernel,")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--no-budget-ladder"])
+    assert exit_info.value.code == 2
 
 
 def test_profile_trace_stage_survives_worker_pools():
@@ -261,13 +291,16 @@ def test_profile_trace_stage_survives_worker_pools():
         DesignQuery(kernel="fir", allocator="PR-RA", budget=budget)
         for budget in (8, 12, 16, 24)
     ]
-    solo = run_queries(queries, jobs=1, context=False)
-    pooled = run_queries(queries, jobs=2, context=False)
+    solo = run_queries(queries, jobs=1, context=EvalContext())
+    # Forked workers inherit the process context: start them cold.
+    reset_process_context()
+    pooled = run_queries(queries, jobs=2)
     for results in (solo, pooled):
         stages = results.stats.stage_seconds
         assert "trace" in stages and stages["trace"] > 0.0
-    for solo_record, pooled_record in zip(solo, pooled):
-        assert set(solo_record.stages) == set(pooled_record.stages)
+    # Which record pays for the shared trace work depends on how points
+    # meet the memo, but the stage set of the sweep does not.
+    assert set(solo.stats.stage_seconds) == set(pooled.stats.stage_seconds)
 
 
 # -- perf compare: the satellite gate fixes -----------------------------------
@@ -276,6 +309,7 @@ def test_profile_trace_stage_survives_worker_pools():
 def _report_doc(**overrides):
     doc = {
         "grid": {"kernels": ["fir"], "budgets": [4, 8], "points": 2},
+        "host": {"node": "bench-a", "cpus": 2, "cpu_model": "Example CPU"},
         "speedup": {"grid_warm_vs_no_context": 10.0},
         "seconds": {"grid_no_context": 1.0, "grid_warm_context": 0.1},
     }
@@ -344,43 +378,83 @@ def test_compare_new_only_ratios_are_info_rows():
     assert "-" in line and "16" in line and "info" in line
 
 
-# -- cost model: engine-keyed observations ------------------------------------
+# -- cost model: documents written when rows were keyed by engine ------------
 
 
 def _query(allocator="CPA-RA", budget=16):
     return DesignQuery(kernel="fir", allocator=allocator, budget=budget)
 
 
+def _row(allocator, mean, weight, engine):
+    row = {
+        "kernel": "fir", "kernel_json_digest": None,
+        "allocator": allocator, "mean": mean, "weight": weight,
+    }
+    if engine is not None:
+        row["engine"] = engine
+    return row
+
+
 def test_cost_model_prefers_timings_from_its_own_engine():
-    model = CostModel(trace_engine="array")
-    for _ in range(3):
-        model.observe(_query(), 10.0, trace_engine="reference")
-        model.observe(_query(), 1.0, trace_engine="array")
+    """Rows the retired reference engine timed are dropped on absorb."""
+    model = CostModel()
+    absorbed = model.absorb_doc({"version": 1, "rows": [
+        _row("CPA-RA", 10.0, 3.0, "reference"),
+        _row("CPA-RA", 1.0, 3.0, "array"),
+    ]})
+    assert absorbed == 1
     assert model.estimate(_query()) == pytest.approx(1.0)
-    slow = CostModel(trace_engine="reference")
-    for _ in range(3):
-        slow.observe(_query(), 10.0, trace_engine="reference")
-        slow.observe(_query(), 1.0, trace_engine="array")
-    assert slow.estimate(_query()) == pytest.approx(10.0)
+    assert all("engine" not in row for row in model.to_doc()["rows"])
 
 
 def test_cost_model_cross_engine_fallback():
-    # Only foreign-engine timings exist: they still beat a static prior.
-    model = CostModel(trace_engine="array")
-    model.observe(_query(), 4.0, trace_engine="reference")
-    model.observe(_query(), 6.0, trace_engine=None)
+    # Array and engine-unknown rows of one pair merge into one mean.
+    model = CostModel()
+    model.absorb_doc({"version": 1, "rows": [
+        _row("CPA-RA", 4.0, 1.0, "array"),
+        _row("CPA-RA", 6.0, 1.0, None),
+    ]})
     assert model.estimate(_query()) == pytest.approx(5.0)
+    (row,) = model.to_doc()["rows"]
+    assert row["weight"] == pytest.approx(2.0)
 
 
 def test_cost_model_from_cache_reads_producing_engine(tmp_path):
     cache = ResultCache(tmp_path)
-    record = evaluate_query(_query(), context=False)
-    cache.put(replace(record, seconds=0.5), trace_engine="reference", batch=True)
-    legacy = evaluate_query(_query(allocator="FR-RA"), context=False)
-    cache.put(replace(legacy, seconds=0.25))  # no provenance: engine-unknown
-    model = CostModel.from_cache(cache, trace_engine="array")
+    record = evaluate_query(_query())
+    cache.put(replace(record, seconds=0.5))
+    legacy = evaluate_query(_query(allocator="FR-RA"))
+    cache.put(replace(legacy, seconds=0.25))
+    model = CostModel.from_cache(cache)
     assert model.observations == 2
-    key = (_query().kernel, None, "CPA-RA")
-    assert set(model._pair[key]) == {"reference"}
-    legacy_key = (_query().kernel, None, "FR-RA")
-    assert set(model._pair[legacy_key]) == {None}
+    assert model.estimate(_query()) == pytest.approx(0.5)
+    assert model.estimate(_query(allocator="FR-RA")) == pytest.approx(0.25)
+
+
+@pytest.mark.parametrize("spec", ["dir", "sqlite"])
+def test_resume_reads_cost_model_of_engine_keyed_cache(tmp_path, spec):
+    """A cache whose persisted model still keys rows by trace engine
+    resumes without raising and keeps its fitted model."""
+    from repro.explore import Executor
+    from repro.explore.schedule import COST_MODEL_META_KEY
+
+    location = (
+        str(tmp_path / "cache") if spec == "dir"
+        else f"sqlite:{tmp_path / 'cache.db'}"
+    )
+    cache = ResultCache(location)
+    cache.write_meta(COST_MODEL_META_KEY, {"version": 1, "rows": [
+        _row("CPA-RA", 0.75, 1.0, "array"),
+        _row("CPA-RA", 9.0, 1.0, "reference"),
+        _row("FR-RA", 0.25, 1.0, None),
+    ]})
+    executor = Executor(cache=location)
+    model = executor._cost_model()
+    assert model.fitted
+    assert model.estimate(_query()) == pytest.approx(0.75)
+    assert "cost model: fitted" in executor.dry_run([_query()])
+    results = executor.run([_query(), _query(allocator="FR-RA")])
+    assert results.stats.evaluated == 2
+    rows = ResultCache(location).read_meta(COST_MODEL_META_KEY)["rows"]
+    assert {row["allocator"] for row in rows} == {"CPA-RA", "FR-RA"}
+    assert all("engine" not in row for row in rows)

@@ -1,4 +1,4 @@
-"""Cost model and LPT chunk planning (`repro.explore.schedule`)."""
+"""Cost model and lease planning (`repro.explore.schedule`)."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.explore import (
     ExplorationSpace,
     Executor,
     ResultCache,
-    plan_chunks,
+    plan_leases,
     static_cost,
 )
 from repro.explore.schedule import ALLOCATOR_WEIGHT
@@ -91,43 +91,59 @@ class TestCostModel:
         assert CostModel.from_cache(None).observations == 0
 
 
+def _leases(items, cost, jobs, max_points=None):
+    return plan_leases(
+        items, cost, jobs=jobs, key=lambda item: "k", max_points=max_points
+    )
+
+
 class TestPlanChunks:
+    """:func:`plan_leases`, the one chunk planner of the dispatcher."""
+
     def test_lpt_balances_known_example(self):
         items = ["a", "b", "c", "d", "e"]
         costs = dict(zip(items, [7.0, 5.0, 4.0, 3.0, 2.0]))
-        chunks = plan_chunks(items, costs.__getitem__, bins=2)
-        loads = sorted(sum(costs[i] for i in chunk) for chunk in chunks)
-        # LPT: {7,3} and {5,4,2} — the optimal 10/11 split here.
-        assert loads == [10.0, 11.0]
+        leases = _leases(items, costs.__getitem__, jobs=2, max_points=1)
+        # Longest first: workers pull the expensive points before the
+        # cheap ones, so the tail of the sweep is short.
+        assert [lease.items for lease in leases] == [
+            ("a",), ("b",), ("c",), ("d",), ("e",)
+        ]
 
     def test_partition_is_exact(self):
         items = list(range(17))
-        chunks = plan_chunks(items, lambda i: float(i % 5 + 1), bins=4)
-        flat = [i for chunk in chunks for i in chunk]
+        leases = _leases(items, lambda i: float(i % 5 + 1), jobs=4,
+                         max_points=3)
+        flat = [i for lease in leases for i in lease.items]
         assert sorted(flat) == items
-        assert len(chunks) <= 4
+        assert all(len(lease.items) <= 3 for lease in leases)
 
     def test_deterministic(self):
         items = list(range(20))
         cost = lambda i: float(i % 3)  # noqa: E731
-        assert plan_chunks(items, cost, 4) == plan_chunks(items, cost, 4)
+        assert _leases(items, cost, 4) == _leases(items, cost, 4)
 
     def test_more_bins_than_items_collapses(self):
-        chunks = plan_chunks([1, 2], lambda _: 1.0, bins=8)
-        assert len(chunks) == 2
+        # More workers than pull opportunities: every point is a lease.
+        leases = _leases(list(range(6)), lambda _: 1.0, jobs=8)
+        assert [len(lease.items) for lease in leases] == [1] * 6
 
     def test_empty_and_invalid(self):
-        assert plan_chunks([], lambda _: 1.0, bins=3) == []
+        assert _leases([], lambda _: 1.0, jobs=3) == []
         with pytest.raises(ReproError):
-            plan_chunks([1], lambda _: 1.0, bins=0)
+            _leases([1], lambda _: 1.0, jobs=0)
+        with pytest.raises(ReproError):
+            _leases([1], lambda _: 1.0, jobs=1, max_points=0)
 
     def test_one_expensive_point_gets_its_own_chunk(self):
         # The motivating failure of the fixed split: a single hot point
-        # must not drag cheap siblings into its chunk.
-        costs = [100.0] + [1.0] * 9
-        chunks = plan_chunks(list(range(10)), lambda i: costs[i], bins=4)
-        hot = next(chunk for chunk in chunks if 0 in chunk)
-        assert hot == [0]
+        # must not drag cheap siblings into its lease.
+        costs = [100.0] + [1.0] * 99
+        leases = _leases(list(range(100)), lambda i: costs[i], jobs=2)
+        hot = next(lease for lease in leases if 0 in lease.items)
+        assert hot.items == (0,)
+        assert leases[0] is hot
+        assert max(len(lease.items) for lease in leases) > 1
 
 
 class TestAdaptiveExecutor:

@@ -1,12 +1,13 @@
-"""Work-stealing dispatcher tests (PR 10).
+"""Work-stealing dispatcher tests.
 
 The lease queue must be invisible in the results: every fault kind x
-stealing on/off x jobs 1/2 assembles a ResultSet bit-identical to the
-fault-free baseline with exactly the same retry/quarantine counters as
-static dispatch.  On top of the identity matrix, the tests pin the
-lease planner's determinism, a deterministically-forced steal split,
-the soft-affinity counter, shard-stitch resume under stealing, and the
-``--dry-run`` planner surface.
+lease shape (the planner's leases, or one singleton lease per point) x
+jobs 1/2 assembles a ResultSet bit-identical to the fault-free baseline
+with exactly the same retry/quarantine counters.  On top of the identity
+matrix, the tests pin the lease planner's determinism, a
+deterministically-forced steal split, the soft-affinity counter,
+shard-stitch resume under stealing, and the ``--dry-run`` planner
+surface.
 """
 
 import pytest
@@ -37,13 +38,14 @@ FAST = dict(
 )
 
 
-def sweep(jobs=1, faults=None, cache=None, max_retries=2, stealing=True,
+def sweep(jobs=1, faults=None, cache=None, max_retries=2, singletons=False,
           space=SPACE, **kwargs):
+    if singletons:
+        kwargs["lease_points"] = 1
     return Executor(
         jobs=jobs,
         cache=cache,
         faults=faults,
-        stealing=stealing,
         retry=RetryPolicy(max_retries=max_retries, backoff=0.0),
         **FAST,
         **kwargs,
@@ -70,13 +72,13 @@ def baseline():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("stealing", [False, True])
+@pytest.mark.parametrize("singletons", [False, True])
 @pytest.mark.parametrize("kind", ["crash", "hang", "kill", "slow"])
-def test_fault_matrix_bit_identical(kind, stealing, jobs, baseline):
-    """Every evaluation-plane fault x dispatch mode x jobs: same records,
+def test_fault_matrix_bit_identical(kind, singletons, jobs, baseline):
+    """Every evaluation-plane fault x lease shape x jobs: same records,
     same exact counters — fault decisions are pure in (seed, digest,
     attempt), so lease shape cannot change what fires."""
-    result = sweep(jobs=jobs, stealing=stealing, faults=plan_for(kind))
+    result = sweep(jobs=jobs, singletons=singletons, faults=plan_for(kind))
     assert docs(result) == docs(baseline)
     stats = result.stats
     assert stats.evaluated == len(QUERIES)
@@ -86,12 +88,12 @@ def test_fault_matrix_bit_identical(kind, stealing, jobs, baseline):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("stealing", [False, True])
-def test_quarantine_counters_match_across_dispatch(stealing, jobs, baseline):
-    """A poison point quarantines with identical counters under leases
-    and static chunks."""
+@pytest.mark.parametrize("singletons", [False, True])
+def test_quarantine_counters_match_across_dispatch(singletons, jobs, baseline):
+    """A poison point quarantines with identical counters under planned
+    and singleton leases, inline and pooled."""
     result = sweep(
-        jobs=jobs, stealing=stealing, faults=plan_for("crash", fires=5),
+        jobs=jobs, singletons=singletons, faults=plan_for("crash", fires=5),
         max_retries=1,
     )
     stats = result.stats
@@ -108,14 +110,14 @@ def test_quarantine_counters_match_across_dispatch(stealing, jobs, baseline):
     assert healthy == expected
 
 
-@pytest.mark.parametrize("stealing", [False, True])
+@pytest.mark.parametrize("singletons", [False, True])
 def test_enospc_read_only_degradation_under_stealing(
-    stealing, baseline, tmp_path
+    singletons, baseline, tmp_path
 ):
     with pytest.warns(UserWarning, match="read-only"):
         result = sweep(
-            jobs=2, stealing=stealing, faults=plan_for("enospc"),
-            cache=tmp_path / ("steal" if stealing else "static"),
+            jobs=2, singletons=singletons, faults=plan_for("enospc"),
+            cache=tmp_path / "cache",
         )
     assert result.stats.cache_read_only
     assert docs(result) == docs(baseline)
@@ -142,7 +144,7 @@ def test_steal_split_and_counters():
     # All leases share one kernel; once a worker has evaluated anything,
     # its resident fingerprint matches every queued lease.
     assert stats.affinity_hits >= 1
-    # The static and jobs=1 paths never touch the scheduler counters.
+    # The inline jobs=1 path never touches the scheduler counters.
     assert reference.stats.leases == 0
     assert reference.stats.steals == 0
     assert reference.stats.affinity_hits == 0
@@ -228,8 +230,9 @@ def test_dry_run_plans_without_evaluating(tmp_path):
 
 
 def test_dry_run_static_and_inline_listings():
-    static = Executor(jobs=2, stealing=False, **FAST).dry_run(SPACE)
-    assert "static chunks (LPT, jobs=2)" in static
+    pooled = Executor(jobs=2, lease_points=1, **FAST).dry_run(SPACE)
+    assert f"queue: {len(QUERIES)} leases, longest first" in pooled
+    assert "static chunks" not in pooled
     inline = Executor(jobs=1, **FAST).dry_run(SPACE)
     assert "queue: inline (jobs=1)" in inline
 
@@ -248,10 +251,10 @@ def test_cli_dry_run_and_no_steal(capsys, tmp_path):
         (tmp_path / "cache").glob("*.json")
     )
 
-    code = main([
-        "explore", "--kernels", "fir", "--allocators", "FR-RA",
-        "--budgets", "8", "--jobs", "2", "--no-steal", "--dry-run",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "static chunks" in out
+    # Static dispatch is gone: every jobs>1 sweep runs the lease queue.
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "explore", "--kernels", "fir", "--allocators", "FR-RA",
+            "--budgets", "8", "--jobs", "2", "--no-steal", "--dry-run",
+        ])
+    assert exit_info.value.code == 2

@@ -10,9 +10,10 @@ at a feasible random budget:
   full-reuse allocator (same 0/1 decision space, DP optimum);
 * KS-RA's knapsack objective dominates every allocator's fully-replaced
   set (each such set is a feasible 0/1 solution);
-* the batched evaluation path is bit-identical to the reference path:
-  coverage masks per group, the whole cycle report, and (sampled) the
-  full design record.
+* the production path is bit-identical to the reference oracle
+  (``reference=True``): coverage masks per group, the whole cycle
+  report, the full design (sampled) and the whole query record (every
+  10th seed here, all 120 in the slow oracle tier).
 
 The Belady row-memoized trace is additionally fuzzed directly on random
 address streams, including row lengths that do not match any steady
@@ -50,7 +51,7 @@ SEEDS = range(120)
 MODEL = LatencyModel.realistic(ram_latency=2)
 
 
-def _reports(case, batch):
+def _reports(case, reference):
     reports = {}
     for algorithm in ALGORITHMS:
         allocation = allocator_by_name(algorithm).allocate(
@@ -60,7 +61,7 @@ def _reports(case, batch):
             allocation,
             count_cycles(
                 case.kernel, case.groups, allocation, MODEL,
-                overhead_per_iteration=1, batch=batch,
+                overhead_per_iteration=1, reference=reference,
             ),
         )
     return reports
@@ -78,7 +79,7 @@ def _full_set_objective(allocation, groups) -> int:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_allocator_invariants(seed):
     case = random_case(seed)
-    reports = _reports(case, batch=True)
+    reports = _reports(case, reference=False)
     naive_alloc, naive = reports["NO-SR"]
 
     assert _full_set_objective(naive_alloc, case.groups) == 0
@@ -113,13 +114,13 @@ def test_fuzz_allocator_invariants(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_fuzz_batched_equals_unbatched(seed):
     case = random_case(seed)
-    batched = _reports(case, batch=True)
-    reference = _reports(case, batch=False)
+    production = _reports(case, reference=False)
+    reference = _reports(case, reference=True)
     for algorithm in ALGORITHMS:
-        allocation, report = batched[algorithm]
+        allocation, report = production[algorithm]
         _, expected = reference[algorithm]
         assert report == expected, (
-            f"seed {seed}: {algorithm} batched cycle report diverged"
+            f"seed {seed}: {algorithm} cycle report diverged from the oracle"
         )
         # Coverage masks are the ground the report stands on — compare
         # them directly too, at the allocated register counts.
@@ -153,11 +154,9 @@ def test_fuzz_full_design_batched_equals_unbatched(seed):
         allocation = allocator_by_name(algorithm).allocate(
             case.kernel, case.budget, case.groups
         )
-        fast = build_design(
-            case.kernel, allocation, groups=case.groups, batch=True
-        )
+        fast = build_design(case.kernel, allocation, groups=case.groups)
         slow = build_design(
-            case.kernel, allocation, groups=case.groups, batch=False
+            case.kernel, allocation, groups=case.groups, reference=True
         )
         assert fast.cycles == slow.cycles
         assert fast.total_cycles == slow.total_cycles
@@ -166,25 +165,17 @@ def test_fuzz_full_design_batched_equals_unbatched(seed):
         assert fast.slices == slow.slices
 
 
-@pytest.mark.parametrize("seed", range(0, 120, 10))
-def test_fuzz_context_equals_no_context(seed):
-    """Shared-artifact evaluation is bit-identical on random kernels.
-
-    One :class:`EvalContext` is reused across all seeds on purpose: the
-    embedded-JSON kernel keys, the LRU and the per-kernel artifact
-    bundles must never leak one random kernel's artifacts into
-    another's records.
-    """
+def _assert_context_matches_oracle(seed):
     import dataclasses
 
-    from repro.explore import DesignQuery, EvalContext
+    from repro.explore import DesignQuery
     from repro.explore.evaluate import evaluate_query
 
     ctx = _shared_fuzz_context()
     case = random_case(seed)
-    for algorithm in ALGORITHMS:
+    for algorithm in ALGORITHMS + ("OPT-RA",):
         query = DesignQuery.from_kernel(case.kernel, algorithm, case.budget)
-        reference = evaluate_query(query, context=False)
+        reference = evaluate_query(query, reference=True)
         contexted = evaluate_query(query, context=ctx)
         rerun = evaluate_query(query, context=ctx)  # warm artifacts
         for record in (contexted, rerun):
@@ -194,6 +185,26 @@ def test_fuzz_context_equals_no_context(seed):
                 assert getattr(record, f.name) == getattr(reference, f.name), (
                     f"seed {seed}/{algorithm}: context diverged on {f.name}"
                 )
+
+
+@pytest.mark.parametrize("seed", range(0, 120, 10))
+def test_fuzz_context_equals_no_context(seed):
+    """Shared-artifact evaluation matches the oracle on random kernels.
+
+    One :class:`EvalContext` is reused across all seeds on purpose: the
+    embedded-JSON kernel keys, the LRU and the per-kernel artifact
+    bundles must never leak one random kernel's artifacts into
+    another's records.
+    """
+    _assert_context_matches_oracle(seed)
+
+
+@pytest.mark.slow
+@pytest.mark.oracle
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fuzz_records_equal_reference_oracle(seed):
+    """The whole 120-seed corpus, record by record, every allocator."""
+    _assert_context_matches_oracle(seed)
 
 
 def _shared_fuzz_context():
@@ -216,7 +227,7 @@ def _objective_cycles(case, allocation, ctx):
     )
 
     dfg = ctx.dfg(case.kernel, case.groups)
-    coverages = ctx.coverages(case.kernel, case.groups, batch=True)
+    coverages = ctx.coverages(case.kernel, case.groups)
     storage = {
         g.name: classify_operand_storage(
             g, coverages[g.name], allocation.registers_for(g.name)

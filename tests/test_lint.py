@@ -22,7 +22,7 @@ from repro.cli import main
 from repro.errors import ReproError
 from repro.lint import CHECKS, run_lint
 from repro.lint.framework import (
-    FALLBACK_KNOBS,
+    KNOBS,
     LintContext,
     _load_unit,
     _parse_suppressions,
@@ -83,10 +83,9 @@ def test_ast_cache_shared_across_runs():
 
 
 def test_knob_discovery_real_tree():
+    # One production path, one oracle switch: the only evaluation knob.
     context = LintContext()
-    assert context.knobs() == frozenset(
-        {"batch", "context", "engine", "ladder", "trace_engine"}
-    )
+    assert context.knobs() == KNOBS == frozenset({"reference"})
     maps = {(m.module, m.name) for m in context.dispatch_maps()}
     assert ("repro.kernels.registry", "KERNEL_FACTORIES") in maps
     assert ("repro.core.pipeline", "_ALLOCATORS") in maps
@@ -94,7 +93,7 @@ def test_knob_discovery_real_tree():
 
 def test_knob_fallback_on_fixture_tree():
     context = LintContext(root=FIXTURES, package="lintfix")
-    assert context.knobs() == FALLBACK_KNOBS
+    assert context.knobs() == KNOBS
     # No lintfix.explore.evaluate -> the cone is the whole tree.
     assert context.cone() == frozenset(context.units())
 
@@ -108,8 +107,9 @@ def test_missing_key_flags_exactly_the_pr6_shape():
     assert [(f.path, f.code, f.line) for f in findings] == [
         ("lintfix/missing_key.py", "missing-knob", 12),
     ]
-    assert "'ladder'" in findings[0].message
-    # batch/engine reach the key, so only ladder is reported.
+    assert "'reference'" in findings[0].message
+    # batch reaches the key but is no knob, so only reference is
+    # reported.
     assert "'batch'" not in findings[0].message
 
 

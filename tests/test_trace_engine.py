@@ -1,11 +1,14 @@
 """Acceptance pins: the array trace engine is bit-identical everywhere.
 
-Mirrors ``test_batch_equivalence.py`` for the ``trace_engine`` axis:
-``verify_trace_equivalence`` sweeps registered kernel × allocator ×
-budget points and must come back empty; the executor and the CLI expose
-the switch (``--no-array-trace``) and agree across it; the period
-ladder actually replays tiles when outer rows never repeat; and the
-``repro perf --compare`` report diff gates the way its contract says.
+Mirrors ``test_batch_equivalence.py`` for the trace-engine layer: the
+coverage computers agree across the engine selector at both batch
+settings (the selector is internal to
+:class:`~repro.scalar.coverage.GroupCoverage`; the pipeline only runs
+the array engine, or the reference engine under the oracle), records
+agree with the oracle through a parallel sweep, the retired
+``--no-array-trace`` flag is rejected, the period ladder actually
+replays tiles when outer rows never repeat, and the ``repro perf
+--compare`` report diff gates the way its contract says.
 """
 
 import json
@@ -14,18 +17,20 @@ import math
 import numpy as np
 import pytest
 
+from repro.analysis.groups import build_groups
 from repro.bench.perf import compare_reports
 from repro.cli import main
 from repro.core.pipeline import _ALLOCATORS
 from repro.errors import ReproError, SimulationError
 from repro.explore import (
     DesignQuery,
-    Executor,
-    compare_trace_engines,
+    EvalContext,
+    compare_reference,
+    evaluate_query,
     run_queries,
-    verify_trace_equivalence,
+    verify_reference,
 )
-from repro.kernels import KERNEL_FACTORIES
+from repro.kernels import KERNEL_FACTORIES, get_kernel
 from repro.scalar.coverage import GroupCoverage
 from repro.sim import residency
 from repro.sim.residency import lru_misses, opt_trace
@@ -39,46 +44,55 @@ GRID = [
 ]
 
 
+def _assert_engines_agree(kernel_name, batch):
+    kernel = get_kernel(kernel_name)
+    for group in build_groups(kernel):
+        fast = GroupCoverage(kernel, group, batch=batch, engine="array")
+        slow = GroupCoverage(kernel, group, batch=batch, engine="reference")
+        for registers in sorted({1, 2, 8, group.full_registers}):
+            for anchor in ("low", "high"):
+                a = fast.result(registers, anchor=anchor)
+                b = slow.result(registers, anchor=anchor)
+                label = f"{kernel_name}/{group.name} r={registers} {anchor}"
+                assert np.array_equal(a.read_miss, b.read_miss), label
+                assert np.array_equal(a.write_miss, b.write_miss), label
+                assert a.writeback_stores == b.writeback_stores, label
+
+
 def test_every_registered_point_is_bit_identical():
-    mismatches = verify_trace_equivalence(GRID)
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
+    for kernel_name in sorted(KERNEL_FACTORIES):
+        _assert_engines_agree(kernel_name, batch=True)
 
 
 def test_unbatched_engines_also_agree():
-    # The engine knob composes with --no-batch: sample the grid there.
-    mismatches = verify_trace_equivalence(GRID[::7], batch=False)
-    assert not mismatches, "\n".join(m.describe() for m in mismatches)
+    for kernel_name in sorted(KERNEL_FACTORIES):
+        _assert_engines_agree(kernel_name, batch=False)
 
 
 def test_compare_trace_engines_reports_fields():
-    assert compare_trace_engines(GRID[0]) == []
+    # OPT-RA drives the most coverage queries per point of any allocator.
+    assert compare_reference(
+        DesignQuery(kernel="fir", allocator="OPT-RA", budget=16)
+    ) == []
 
 
 def test_executor_trace_engine_flag_changes_nothing(tmp_path):
-    queries = GRID[:8]
-    fast = run_queries(queries, cache=tmp_path / "a", trace_engine="array")
-    slow = run_queries(
-        queries, cache=tmp_path / "b", trace_engine="reference"
-    )
-    assert list(fast) == list(slow)
-    # Bit-identical records mean the cache is shared between engines: an
-    # array sweep resumes at 100% off a reference sweep's cache.
-    resumed = run_queries(
-        queries, cache=tmp_path / "b", trace_engine="array"
-    )
+    queries = GRID[::9]
+    pooled = run_queries(queries, jobs=2, cache=tmp_path / "a")
+    assert not verify_reference(queries)
+    assert list(pooled) == [evaluate_query(q) for q in queries]
+    # Bit-identical records mean a resume is 100% cache hits.
+    resumed = run_queries(queries, cache=tmp_path / "a")
     assert resumed.stats.cache_hits == len(queries)
 
 
 def test_unknown_engine_rejected_everywhere():
-    with pytest.raises(ReproError):
-        Executor(trace_engine="simd")
+    with pytest.raises(TypeError):
+        run_queries([], trace_engine="array")
     with pytest.raises(SimulationError):
         opt_trace(np.array([1, 2]), 1, engine="simd")
     with pytest.raises(SimulationError):
         lru_misses(np.array([1, 2]), 1, engine="simd")
-    from repro.analysis.groups import build_groups
-    from repro.kernels import get_kernel
-
     kernel = get_kernel("fir")
     with pytest.raises(ReproError):
         GroupCoverage(kernel, build_groups(kernel)[0], engine="simd")
@@ -90,14 +104,17 @@ def test_cli_no_array_trace_smoke(capsys):
         "--budgets", "16", "--format", "csv",
     ]
     assert main(argv) == 0
-    fast = capsys.readouterr().out
-    assert main(argv + ["--no-array-trace"]) == 0
-    assert capsys.readouterr().out == fast
+    assert capsys.readouterr().out.startswith("kernel,")
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--no-array-trace"])
+    assert exit_info.value.code == 2
 
 
 def test_profile_splits_out_a_trace_stage():
-    results = run_queries([DesignQuery(kernel="fir", allocator="PR-RA",
-                                       budget=16)], context=False)
+    results = run_queries(
+        [DesignQuery(kernel="fir", allocator="PR-RA", budget=16)],
+        context=EvalContext(),
+    )
     stages = results.stats.stage_seconds
     assert "trace" in stages and stages["trace"] > 0.0
     assert stages.get("cycles", 0.0) >= 0.0
@@ -150,8 +167,14 @@ def test_ladder_replays_tiles_when_rows_never_repeat(monkeypatch):
 # -- repro perf --compare -----------------------------------------------------
 
 
-def _doc(grid, speedup, seconds, trace=None):
-    doc = {"grid": grid, "speedup": speedup, "seconds": seconds}
+HOST = {"node": "bench-a", "cpus": 2, "cpu_model": "Example CPU"}
+
+
+def _doc(grid, speedup, seconds, trace=None, host=HOST):
+    doc = {
+        "grid": grid, "speedup": speedup, "seconds": seconds,
+        "host": dict(host),
+    }
     if trace is not None:
         doc["trace_single"] = trace
     return doc
@@ -170,6 +193,22 @@ def test_compare_same_grid_gates_seconds_not_ratios():
     slow = _doc(GRID_A, {"warm": 50.0}, {"grid_warm_context": 2.0})
     rows, regressions = compare_reports(old, slow, threshold=1.5)
     assert [r.metric for r in regressions] == ["seconds.grid_warm_context"]
+
+
+def test_compare_same_grid_on_another_host_gates_ratios_not_seconds():
+    old = _doc(GRID_A, {"warm": 50.0}, {"grid_warm_context": 1.0})
+    elsewhere = dict(HOST, node="bench-b", cpus=8)
+    # Twice as slow on another machine: seconds must not gate ...
+    slow = _doc(GRID_A, {"warm": 50.0}, {"grid_warm_context": 2.0},
+                host=elsewhere)
+    rows, regressions = compare_reports(old, slow, threshold=1.5)
+    assert regressions == []
+    assert all(not r.gates for r in rows if r.kind == "seconds")
+    # ... and the host-independent ratios do.
+    worse = _doc(GRID_A, {"warm": 10.0}, {"grid_warm_context": 1.0},
+                 host=elsewhere)
+    _, regressions = compare_reports(old, worse, threshold=1.5)
+    assert [r.metric for r in regressions] == ["speedup.warm"]
 
 
 def test_compare_cross_grid_gates_ratios_not_seconds():
@@ -220,3 +259,10 @@ def test_cli_perf_compare_exit_codes(tmp_path, capsys):
     assert main([
         "perf", "--compare", str(old), str(bad), "--threshold", "30",
     ]) == 0
+    # A pair sharing no gated metric proves nothing and fails.
+    disjoint = tmp_path / "disjoint.json"
+    disjoint.write_text(json.dumps(
+        _doc(GRID_B, {"cold": 2.0}, {"grid_cold_context": 1.0})
+    ))
+    assert main(["perf", "--compare", str(old), str(disjoint)]) == 1
+    assert "no metric gates this comparison" in capsys.readouterr().out
