@@ -1,10 +1,11 @@
 """Legacy setup shim.
 
-The offline environment ships setuptools without the ``wheel`` package, so
-PEP 660 editable installs cannot build an editable wheel.  Keeping a
-``setup.py`` (and omitting ``[build-system]`` from pyproject.toml) lets
-``pip install -e .`` fall back to the classic ``setup.py develop`` path.
-All metadata lives in pyproject.toml.
+An offline environment may ship setuptools without the ``wheel`` package;
+there ``pip install -e .`` fails (``invalid command 'bdist_wheel'``) while
+``python setup.py develop`` still installs the package and the ``repro``
+command.  Keeping a ``setup.py`` (and omitting ``[build-system]`` from
+pyproject.toml) keeps that path open.  All metadata lives in
+pyproject.toml.
 """
 
 from setuptools import setup

@@ -154,7 +154,7 @@ class PerfReport:
     context_stats: dict[str, int] = field(default_factory=dict)
     #: kernel -> {"reference": seconds, "array": seconds}: the cold
     #: coverage work of one point under each trace engine.
-    trace_single: "dict[str, dict[str, float]]" = field(default_factory=dict)
+    trace_coverage: "dict[str, dict[str, float]]" = field(default_factory=dict)
     #: kernel -> {"counts_per_budget": s, "counts_ladder": s,
     #: "trace_per_budget": s, "trace_ladder": s}: the full budget column
     #: per budget vs in one ladder pass (see :func:`_time_budget_column`).
@@ -181,15 +181,15 @@ class PerfReport:
         return self.grid_warm_run / self.grid_warm_evaluation - 1.0
 
     def trace_speedup(self, kernel: str) -> float:
-        timings = self.trace_single[kernel]
+        timings = self.trace_coverage[kernel]
         return timings["reference"] / timings["array"]
 
     @property
     def best_trace_speedup(self) -> float:
         """The largest per-kernel array-engine speedup (0 when unmeasured)."""
-        if not self.trace_single:
+        if not self.trace_coverage:
             return 0.0
-        return max(self.trace_speedup(k) for k in self.trace_single)
+        return max(self.trace_speedup(k) for k in self.trace_coverage)
 
     @property
     def steal_speedup(self) -> float:
@@ -248,13 +248,13 @@ class PerfReport:
             },
             "supervision_overhead": self.supervision_overhead,
             "imbalance": dict(self.imbalance, speedup=self.steal_speedup),
-            "trace_single": {
+            "trace_coverage": {
                 kernel: {
                     "reference_s": timings["reference"],
                     "array_s": timings["array"],
                     "speedup": self.trace_speedup(kernel),
                 }
-                for kernel, timings in self.trace_single.items()
+                for kernel, timings in self.trace_coverage.items()
             },
             "budget_column": {
                 kernel: {
@@ -536,7 +536,7 @@ def run_perf(quick: bool = False, single_repeats: int = 5) -> PerfReport:
     evaluate_query(SINGLE_POINT, context=single_ctx)
     single_warm = _time_single(SINGLE_POINT, single_repeats, single_ctx)
 
-    trace_single = _time_trace_engines(
+    trace_coverage = _time_trace_engines(
         QUICK_TRACE_KERNELS if quick else TRACE_KERNELS, single_repeats
     )
     # The column benchmark always measures the FULL budget axis — its
@@ -564,7 +564,7 @@ def run_perf(quick: bool = False, single_repeats: int = 5) -> PerfReport:
         grid_warm_run=run_seconds,
         grid_warm_evaluation=evaluation_seconds,
         context_stats=ctx.stats.as_dict(),
-        trace_single=trace_single,
+        trace_coverage=trace_coverage,
         budget_column=budget_column,
         imbalance=imbalance,
     )
@@ -588,7 +588,7 @@ def render_perf(report: PerfReport) -> str:
             f"{report.grid_warm_evaluation:.3f}s evaluation "
             f"({report.supervision_overhead:+.1%} overhead, warm grid)"
         )
-    for kernel, timings in report.trace_single.items():
+    for kernel, timings in report.trace_coverage.items():
         lines.append(
             f"  trace {kernel:<7} {timings['reference'] * 1e3:8.2f}ms -> "
             f"{timings['array'] * 1e3:.2f}ms array "
@@ -658,7 +658,7 @@ def _flat_ratios(doc: dict) -> "dict[str, float]":
         f"speedup.{key}": float(value)
         for key, value in (doc.get("speedup") or {}).items()
     }
-    for section in ("trace_single", "budget_column"):
+    for section in ("trace_coverage", "budget_column"):
         for kernel, timings in (doc.get(section) or {}).items():
             for key, value in timings.items():
                 if key == "speedup" or key.endswith("_speedup"):

@@ -621,7 +621,8 @@ class SupervisedDriver:
         """Yield ``(index, record)`` for every pending point.
 
         ``jobs=1`` evaluates inline in query order.  Otherwise the pool
-        runs the work-stealing dispatcher over ``leases`` (required: the
+        runs the work-stealing dispatcher over ``leases`` (required —
+        :class:`ReproError` without it — the
         :func:`~repro.explore.schedule.plan_leases` queue covering
         ``pending``): leases feed on demand as workers free up, with
         soft kernel affinity and steal-splitting.  Results are keyed by
@@ -633,4 +634,9 @@ class SupervisedDriver:
         if self.jobs == 1:
             yield from self._drive_inline(pending)
             return
+        if leases is None:
+            raise ReproError(
+                f"jobs={self.jobs} needs the lease queue: pass leases= "
+                "(see repro.explore.schedule.plan_leases)"
+            )
         yield from self._drive_pool(leases)

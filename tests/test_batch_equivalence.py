@@ -98,8 +98,21 @@ def test_bench_adapters_accept_batch():
         _reference_cycles(DesignQuery(kernel="mat", allocator="FR-RA",
                                       budget=16))
     ]
-    rows = policy_comparison(kernel, budget=16, algorithms=("FR-RA", "NO-SR"))
-    assert len(rows) == 2
+    algorithms = ("FR-RA", "CPA-RA", "NO-SR")
+    rows = policy_comparison(kernel, budget=16, algorithms=algorithms)
+    oracle = {
+        algorithm: evaluate_query(
+            DesignQuery(kernel="mat", allocator=algorithm, budget=16),
+            reference=True,
+        )
+        for algorithm in algorithms
+    }
+    naive = oracle["NO-SR"].total_ram_accesses
+    assert rows == {
+        algorithm: (naive - record.total_ram_accesses, record.cycles)
+        for algorithm, record in oracle.items()
+    }
+    assert rows["CPA-RA"][0] > 0
 
 
 def test_table1_accepts_batch():

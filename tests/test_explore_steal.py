@@ -191,6 +191,20 @@ def test_lease_split_preserves_order_and_sequencing():
     assert all(l.key == "k" for l in singles)
 
 
+def test_pooled_drive_requires_the_lease_queue():
+    from repro.errors import ReproError
+    from repro.explore.supervise import SupervisedDriver
+
+    pending = list(enumerate(QUERIES))
+    with pytest.raises(ReproError, match="lease queue"):
+        list(
+            SupervisedDriver(
+                jobs=2, context=None, retry=RetryPolicy(),
+                deadlines=DeadlinePolicy(),
+            ).drive(pending)
+        )
+
+
 # -- shard + resume stay bit-identical under stealing -------------------------
 
 

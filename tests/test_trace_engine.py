@@ -176,7 +176,7 @@ def _doc(grid, speedup, seconds, trace=None, host=HOST):
         "host": dict(host),
     }
     if trace is not None:
-        doc["trace_single"] = trace
+        doc["trace_coverage"] = trace
     return doc
 
 
@@ -226,14 +226,14 @@ def test_compare_includes_trace_block_when_both_have_it():
     old = _doc(GRID_A, {}, {}, trace={"fir": {"speedup": 9.0}})
     new = _doc(GRID_B, {}, {}, trace=trace)
     rows, regressions = compare_reports(old, new, threshold=1.5)
-    assert [r.metric for r in rows] == ["trace_single.fir.speedup"]
-    assert [r.metric for r in regressions] == ["trace_single.fir.speedup"]
+    assert [r.metric for r in rows] == ["trace_coverage.fir.speedup"]
+    assert [r.metric for r in regressions] == ["trace_coverage.fir.speedup"]
     # Present only in the NEW document (harness growth, e.g. BENCH_4
     # has no trace block) -> a non-gating information row, never a
     # regression.
     rows, regressions = compare_reports(_doc(GRID_A, {}, {}), new)
     assert regressions == []
-    assert [r.metric for r in rows] == ["trace_single.fir.speedup"]
+    assert [r.metric for r in rows] == ["trace_coverage.fir.speedup"]
     assert not rows[0].gates and math.isnan(rows[0].old)
 
 
